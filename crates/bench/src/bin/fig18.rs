@@ -4,7 +4,7 @@
 
 use pacman_bench::{banner, bench_tpcc, default_workers, prepare_crashed, BenchOpts};
 use pacman_core::metrics::RecoveryMetrics;
-use pacman_core::recovery::{clr_p, LogInventory};
+use pacman_core::recovery::{clr_p, LogInventory, ReplayCtx};
 use pacman_core::runtime::ReplayMode;
 use pacman_core::static_analysis::{ChoppingGraph, GlobalGraph};
 use pacman_engine::Database;
@@ -68,19 +68,18 @@ fn main() {
             )
             .unwrap();
             let metrics = Arc::new(RecoveryMetrics::new());
-            let r = clr_p::recover_log(
-                &crashed.storage,
-                &inventory,
-                &db,
-                gdg,
-                &crashed.registry,
+            let ctx = ReplayCtx {
+                storage: &crashed.storage,
+                inventory: &inventory,
+                db: &db,
+                registry: &crashed.registry,
                 threads,
-                ReplayMode::PureStatic,
-                u64::MAX,
-                ckpt_ts,
-                &metrics,
-            )
-            .unwrap();
+                pepoch: u64::MAX,
+                after_ts: ckpt_ts,
+                metrics: &metrics,
+                gate: None,
+            };
+            let r = clr_p::replay(&ctx, gdg, ReplayMode::PureStatic).unwrap();
             assert_eq!(db.fingerprint(), crashed.reference, "wrong state");
             times.push(r.total.as_secs_f64());
         }

@@ -13,9 +13,11 @@
 //!   fine-grained intra-batch parallelism (§4.3.1, Figs. 7-8);
 //! * [`runtime`] — the recovery runtime: per-block worker groups sized by
 //!   the estimated workload distribution, synchronous and pipelined batch
-//!   execution (§4.3.2-4.4, Figs. 9-10);
+//!   execution (§4.3.2-4.4, Figs. 9-10), gated or not;
 //! * [`recovery`] — the five evaluated recovery schemes: PLR, LLR, LLR-P,
-//!   CLR and CLR-P (= PACMAN), plus checkpoint recovery (§6.2);
+//!   CLR and CLR-P (= PACMAN; ALR-P is CLR-P over a mixed log), one replay
+//!   function each behind one `ReplayCtx` dispatch shared by offline and
+//!   online recovery, plus checkpoint recovery (§6.2);
 //! * [`replication`] — hot-standby replication: continuous log shipping
 //!   with live PACMAN apply and instant failover (promote = epoch drain);
 //! * [`metrics`] — the time-breakdown instrumentation behind Fig. 20.

@@ -5,87 +5,53 @@
 //! the paper's motivating bottleneck ("CLR took over 4,200 seconds … to
 //! complete the log recovery", §6.2.2).
 
-use crate::metrics::RecoveryMetrics;
-use crate::recovery::plr::LogRecovery;
-use crate::recovery::{read_merged_batch, LogInventory};
+use crate::recovery::{read_merged_batch, LogRecovery, ReplayCtx};
 use crate::runtime::exec::replay_record_serial;
-use pacman_common::{Result, Timestamp};
-use pacman_engine::Database;
-use pacman_sproc::ProcRegistry;
-use pacman_storage::StorageSet;
+use pacman_common::Result;
 use std::time::Instant;
 
-/// CLR log recovery.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Database,
-    registry: &ProcRegistry,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &RecoveryMetrics,
-) -> Result<LogRecovery> {
-    recover_log_online(
-        storage, inventory, db, registry, pepoch, after_ts, metrics, None,
-    )
-}
-
-/// [`recover_log`] publishing batch watermarks to an online-recovery
-/// gate. CLR replays strictly serially, so every block advances together:
-/// after batch `k`, every partition's watermark is `k + 1` (on-demand
-/// priority has nothing to reorder on a single thread).
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log_online(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Database,
-    registry: &ProcRegistry,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &RecoveryMetrics,
-    gate: Option<&pacman_engine::RecoveryGate>,
-) -> Result<LogRecovery> {
+/// CLR log recovery. With a gate it publishes batch watermarks: CLR
+/// replays strictly serially, so every block advances together and after
+/// batch `k` every partition's watermark is `k + 1` (on-demand priority
+/// has nothing to reorder on a single thread).
+pub fn replay(ctx: &ReplayCtx) -> Result<LogRecovery> {
     let t0 = Instant::now();
-    let mut reload = std::time::Duration::ZERO;
-    let mut max_ts = 0u64;
-    let mut txns = 0u64;
-    for (bi, batch) in inventory.batches().into_iter().enumerate() {
+    let mut log = LogRecovery::default();
+    for (bi, batch) in ctx.inventory.batches().into_iter().enumerate() {
         let tr = Instant::now();
-        let merged = read_merged_batch(storage, inventory, batch, pepoch, after_ts)?;
-        reload += tr.elapsed();
-        metrics.add_load(tr.elapsed());
+        let merged =
+            read_merged_batch(ctx.storage, ctx.inventory, batch, ctx.pepoch, ctx.after_ts)?;
+        log.reload += tr.elapsed();
+        ctx.metrics.add_load(tr.elapsed());
         let tw = Instant::now();
         for rec in &merged.records {
-            replay_record_serial(db, registry, rec)?;
-            max_ts = max_ts.max(rec.ts);
-            txns += 1;
-            metrics.count_txn();
+            replay_record_serial(ctx.db, ctx.registry, rec)?;
+            log.count_record(rec);
+            ctx.metrics.count_txn();
         }
-        metrics.add_work(tw.elapsed());
-        if let Some(g) = gate {
+        ctx.metrics.add_work(tw.elapsed());
+        if let Some(g) = ctx.gate {
             for p in 0..g.num_partitions() {
                 g.publish(p, bi as u64 + 1);
             }
         }
     }
-    Ok(LogRecovery {
-        reload,
-        total: t0.elapsed(),
-        max_ts,
-        txns,
-        ..Default::default()
-    })
+    log.total = t0.elapsed();
+    Ok(log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RecoveryMetrics;
+    use crate::recovery::{test_ctx, LogInventory};
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, ProcId, Row, TableId, Value};
-    use pacman_engine::Catalog;
-    use pacman_sproc::{Expr, ProcBuilder};
+    use pacman_engine::{Catalog, Database};
+    use pacman_sproc::{Expr, ProcBuilder, ProcRegistry};
+    use pacman_storage::StorageSet;
     use pacman_wal::{LogPayload, TxnLogRecord};
+    use std::sync::Arc;
 
     const T: TableId = TableId::new(0);
 
@@ -118,12 +84,13 @@ mod tests {
 
         let mut c = Catalog::new();
         c.add_table("t", 1);
-        let db = Database::new(c);
+        let db = Arc::new(Database::new(c));
         db.seed_row(T, 1, Row::from([Value::Int(100)])).unwrap();
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        let r = recover_log(&storage, &inv, &db, &reg, 5, 0, &m).unwrap();
+        let m = Arc::new(RecoveryMetrics::new());
+        let r = replay(&test_ctx(&storage, &inv, &db, &reg, &m, 1, 5)).unwrap();
         assert_eq!(r.txns, 3);
+        assert_eq!(r.replayed_commands, 3);
         let chain = db.table(T).unwrap().get(1).unwrap();
         assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(110));
         assert_eq!(m.txns(), 3);

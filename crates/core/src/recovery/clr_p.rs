@@ -3,181 +3,73 @@
 //! A loader thread streams batches off the devices, merges them into
 //! commitment order, instantiates execution schedules from the global
 //! dependency graph and feeds them to the block worker groups of the
-//! [`crate::runtime`]. The workload distribution is estimated from the
-//! first batch at reload time (§4.4); replay runs in one of the three
+//! [`crate::runtime`], which estimates the workload distribution from the
+//! first batch's schedule (§4.4); replay runs in one of the three
 //! modes of Fig. 19 (pure-static / synchronous / pipelined).
 
-use crate::metrics::RecoveryMetrics;
-use crate::recovery::plr::LogRecovery;
-use crate::recovery::{read_merged_batch, LogInventory};
-use crate::runtime::{run_replay_gated, ReplayMode};
+use crate::recovery::{read_merged_batch, LogRecovery, ReplayCtx};
+use crate::runtime::{run_replay, ReplayMode};
 use crate::schedule::ExecutionSchedule;
 use crate::static_analysis::GlobalGraph;
-use pacman_common::{Error, Result, Timestamp};
-use pacman_engine::{Database, RecoveryGate};
-use pacman_sproc::ProcRegistry;
-use pacman_storage::StorageSet;
-use pacman_wal::{LogBatch, LogPayload};
-use std::sync::atomic::{AtomicU64, Ordering};
+use pacman_common::Result;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Count one reloaded batch's format mix: (command records, tuple-level
-/// records). Under CL the second component counts ad-hoc records; under
-/// ALR it additionally counts the cost model's logical choices.
-fn mix_of(batch: &LogBatch) -> (u64, u64) {
-    let mut commands = 0;
-    let mut logical = 0;
-    for r in &batch.records {
-        match &r.payload {
-            LogPayload::Command { .. } => commands += 1,
-            LogPayload::Writes { .. } | LogPayload::TaggedWrites { .. } => logical += 1,
-        }
-    }
-    (commands, logical)
-}
-
-/// CLR-P (PACMAN) log recovery.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Arc<Database>,
-    gdg: &Arc<GlobalGraph>,
-    registry: &ProcRegistry,
-    threads: usize,
-    mode: ReplayMode,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &Arc<RecoveryMetrics>,
-) -> Result<LogRecovery> {
-    recover_log_online(
-        storage, inventory, db, gdg, registry, threads, mode, pepoch, after_ts, metrics, None,
-    )
-}
-
-/// [`recover_log`] publishing per-block batch watermarks to an
-/// online-recovery gate and prioritizing blocks with waiting admissions.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log_online(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Arc<Database>,
-    gdg: &Arc<GlobalGraph>,
-    registry: &ProcRegistry,
-    threads: usize,
-    mode: ReplayMode,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &Arc<RecoveryMetrics>,
-    gate: Option<Arc<RecoveryGate>>,
-) -> Result<LogRecovery> {
+/// CLR-P (PACMAN) log recovery over the dependency graph `gdg` — also
+/// ALR-P, since [`ExecutionSchedule`] dispatches every payload kind:
+/// command records into interpreter slices, logical and proc-tagged
+/// records into write-only pieces. With a gate it publishes per-block
+/// batch watermarks and prioritizes blocks with waiting admissions.
+pub fn replay(ctx: &ReplayCtx, gdg: &Arc<GlobalGraph>, mode: ReplayMode) -> Result<LogRecovery> {
     let t0 = Instant::now();
-    let batches = inventory.batches();
+    let batches = ctx.inventory.batches();
     if batches.is_empty() {
         return Ok(LogRecovery::default());
     }
 
-    // Load the first batch synchronously: it provides the workload
-    // distribution estimate for core assignment (§4.4).
-    let tload = Instant::now();
-    let first_batch = read_merged_batch(storage, inventory, batches[0], pepoch, after_ts)?;
-    let (c0, l0) = mix_of(&first_batch);
-    let first = ExecutionSchedule::build(gdg, registry, &first_batch)?;
-    metrics.add_load(tload.elapsed());
-    let estimate = {
-        let counts = first.piece_counts();
-        // An all-empty first batch still needs a sane assignment.
-        if counts.iter().sum::<usize>() == 0 {
-            vec![1; counts.len()]
-        } else {
-            counts
-        }
-    };
-
-    let max_ts = Arc::new(AtomicU64::new(
-        first_batch.records.last().map(|r| r.ts).unwrap_or(0),
-    ));
-    let txn_count = Arc::new(AtomicU64::new(first_batch.records.len() as u64));
-    let commands = Arc::new(AtomicU64::new(c0));
-    let logicals = Arc::new(AtomicU64::new(l0));
-    let reload_ns = Arc::new(AtomicU64::new(0));
-
     let (tx, rx) = crossbeam::channel::bounded::<ExecutionSchedule>(4);
-    let result: Result<()> = crossbeam::thread::scope(|scope| {
-        // Loader: stream the remaining batches in order.
-        let loader_err: Arc<parking_lot::Mutex<Option<Error>>> =
-            Arc::new(parking_lot::Mutex::new(None));
-        {
-            let loader_err = Arc::clone(&loader_err);
-            let max_ts = Arc::clone(&max_ts);
-            let txn_count = Arc::clone(&txn_count);
-            let commands = Arc::clone(&commands);
-            let logicals = Arc::clone(&logicals);
-            let reload_ns = Arc::clone(&reload_ns);
-            let metrics = Arc::clone(metrics);
-            // Scoped thread: borrow the batch list, no clone.
-            let batches = &batches;
-            scope.spawn(move |_| {
-                let _ = tx.send(first);
-                for &b in &batches[1..] {
-                    let t0 = Instant::now();
-                    let merged = match read_merged_batch(storage, inventory, b, pepoch, after_ts) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            *loader_err.lock() = Some(e);
-                            return; // dropping tx ends the replay
-                        }
-                    };
-                    if let Some(last) = merged.records.last() {
-                        max_ts.fetch_max(last.ts, Ordering::Relaxed);
-                    }
-                    txn_count.fetch_add(merged.records.len() as u64, Ordering::Relaxed);
-                    let (c, l) = mix_of(&merged);
-                    commands.fetch_add(c, Ordering::Relaxed);
-                    logicals.fetch_add(l, Ordering::Relaxed);
-                    let schedule = match ExecutionSchedule::build(gdg, registry, &merged) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            *loader_err.lock() = Some(e);
-                            return;
-                        }
-                    };
-                    let dt = t0.elapsed();
-                    reload_ns.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-                    metrics.add_load(dt);
-                    if tx.send(schedule).is_err() {
-                        return; // replay aborted
-                    }
+    let (replayed, loaded) = crossbeam::thread::scope(|scope| {
+        // Loader: stream the batches in order; the runtime takes its
+        // workload distribution estimate from the first (§4.4). Returning
+        // early drops `tx`, which ends the replay.
+        let loader = scope.spawn(move |_| -> Result<LogRecovery> {
+            let mut log = LogRecovery::default();
+            for &b in &batches {
+                let t0 = Instant::now();
+                let merged =
+                    read_merged_batch(ctx.storage, ctx.inventory, b, ctx.pepoch, ctx.after_ts)?;
+                merged.records.iter().for_each(|r| log.count_record(r));
+                let schedule = ExecutionSchedule::build(gdg, ctx.registry, &merged)?;
+                let dt = t0.elapsed();
+                log.reload += dt;
+                ctx.metrics.add_load(dt);
+                if tx.send(schedule).is_err() {
+                    break; // replay aborted
                 }
-            });
-        }
-        run_replay_gated(db, gdg, mode, threads, &estimate, metrics, rx, gate)?;
-        if let Some(e) = loader_err.lock().take() {
-            return Err(e);
-        }
-        Ok(())
+            }
+            Ok(log)
+        });
+        let gate = ctx.gate.cloned();
+        let replayed = run_replay(ctx.db, gdg, mode, ctx.threads, ctx.metrics, rx, gate);
+        (replayed, loader.join().expect("clr-p loader"))
     })
     .expect("clr-p scope");
-    result?;
-
-    Ok(LogRecovery {
-        reload: std::time::Duration::from_nanos(reload_ns.load(Ordering::Relaxed)),
-        total: t0.elapsed(),
-        max_ts: max_ts.load(Ordering::Relaxed),
-        txns: txn_count.load(Ordering::Relaxed),
-        replayed_commands: commands.load(Ordering::Relaxed),
-        applied_writes: logicals.load(Ordering::Relaxed),
-    })
+    replayed?;
+    let mut log = loaded?;
+    log.total = t0.elapsed();
+    Ok(log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RecoveryMetrics;
+    use crate::recovery::{test_ctx, LogInventory};
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, ProcId, Row, TableId, Value};
-    use pacman_engine::Catalog;
-    use pacman_sproc::{Expr, ProcBuilder};
+    use pacman_engine::{Catalog, Database};
+    use pacman_sproc::{Expr, ProcBuilder, ProcRegistry};
+    use pacman_storage::StorageSet;
     use pacman_wal::{LogPayload, TxnLogRecord};
 
     const FAMILY: TableId = TableId::new(0);
@@ -268,19 +160,9 @@ mod tests {
         let db = bank_db();
         let inv = LogInventory::scan(&storage);
         let m = Arc::new(RecoveryMetrics::new());
-        let r = recover_log(
-            &storage,
-            &inv,
-            &db,
-            &gdg,
-            &reg,
-            threads,
-            mode,
-            u64::MAX,
-            0,
-            &m,
-        )
-        .unwrap();
+        let ctx = test_ctx(&storage, &inv, &db, &reg, &m, threads, u64::MAX);
+        let r = replay(&ctx, &gdg, mode).unwrap();
+        assert_eq!(r.replayed_commands, r.txns);
         (db, r)
     }
 
@@ -326,19 +208,165 @@ mod tests {
         let db = bank_db();
         let inv = LogInventory::scan(&storage);
         let m = Arc::new(RecoveryMetrics::new());
-        let r = recover_log(
-            &storage,
-            &inv,
-            &db,
-            &gdg,
-            &reg,
-            4,
-            ReplayMode::Pipelined,
-            u64::MAX,
-            0,
-            &m,
-        )
-        .unwrap();
+        let ctx = test_ctx(&storage, &inv, &db, &reg, &m, 4, u64::MAX);
+        let r = replay(&ctx, &gdg, ReplayMode::Pipelined).unwrap();
         assert_eq!(r.txns, 0);
+    }
+
+    /// ALR-P: CLR-P over the adaptive scheme's mixed log, where command
+    /// records re-execute and proc-tagged logical records install their
+    /// after-images as write-only pieces.
+    mod mixed_log {
+        use super::*;
+        use pacman_engine::{WriteKind, WriteRecord};
+
+        const ACCT: TableId = TableId::new(0);
+        const AUDIT: TableId = TableId::new(1);
+
+        /// Two procedures: a cheap RMW on ACCT and a "heavy" audit updating
+        /// AUDIT. The mixed log interleaves command records (cheap proc) with
+        /// proc-tagged logical records (heavy proc).
+        fn registry() -> ProcRegistry {
+            let mut reg = ProcRegistry::new();
+            let mut b = ProcBuilder::new(ProcId::new(0), "Inc", 2);
+            let v = b.read(ACCT, Expr::param(0), 0);
+            b.write(
+                ACCT,
+                Expr::param(0),
+                0,
+                Expr::add(Expr::var(v), Expr::param(1)),
+            );
+            reg.register(b.build().unwrap()).unwrap();
+            let mut b = ProcBuilder::new(ProcId::new(1), "Audit", 2);
+            let v = b.read(AUDIT, Expr::param(0), 0);
+            b.write(
+                AUDIT,
+                Expr::param(0),
+                0,
+                Expr::add(Expr::var(v), Expr::param(1)),
+            );
+            reg.register(b.build().unwrap()).unwrap();
+            reg
+        }
+
+        fn db() -> Arc<Database> {
+            let mut c = Catalog::new();
+            c.add_table("acct", 1);
+            c.add_table("audit", 1);
+            let db = Arc::new(Database::new(c));
+            for k in 0..8u64 {
+                db.seed_row(ACCT, k, Row::from([Value::Int(100)])).unwrap();
+                db.seed_row(AUDIT, k, Row::from([Value::Int(0)])).unwrap();
+            }
+            db
+        }
+
+        fn mixed_log(storage: &StorageSet, n: u64, per_batch: u64) -> (u64, u64) {
+            let mut buf = Vec::new();
+            let mut batch = 0;
+            let mut audit_totals = [0i64; 8];
+            let (mut commands, mut logicals) = (0, 0);
+            for i in 0..n {
+                let ts = epoch_floor(1 + i / 4) | (i + 1);
+                let k = i % 8;
+                if i % 3 == 0 {
+                    // "Heavy" transaction: log the after-image directly.
+                    audit_totals[k as usize] += 5;
+                    TxnLogRecord {
+                        ts,
+                        payload: LogPayload::TaggedWrites {
+                            proc: ProcId::new(1),
+                            writes: vec![WriteRecord {
+                                table: AUDIT,
+                                key: k,
+                                kind: WriteKind::Update,
+                                after: Some(std::sync::Arc::new(Row::from([Value::Int(
+                                    audit_totals[k as usize],
+                                )]))),
+                                prev_ts: 0,
+                            }],
+                        },
+                    }
+                    .encode(&mut buf);
+                    logicals += 1;
+                } else {
+                    TxnLogRecord {
+                        ts,
+                        payload: LogPayload::Command {
+                            proc: ProcId::new(0),
+                            params: vec![Value::Int(k as i64), Value::Int(1)].into(),
+                        },
+                    }
+                    .encode(&mut buf);
+                    commands += 1;
+                }
+                if (i + 1) % per_batch == 0 {
+                    storage.disk(0).append(&format!("log/00/{batch:010}"), &buf);
+                    buf.clear();
+                    batch += 1;
+                }
+            }
+            if !buf.is_empty() {
+                storage.disk(0).append(&format!("log/00/{batch:010}"), &buf);
+            }
+            (commands, logicals)
+        }
+
+        fn run(mode: ReplayMode, threads: usize) -> (Arc<Database>, LogRecovery) {
+            let reg = registry();
+            let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
+            let storage = StorageSet::for_tests();
+            mixed_log(&storage, 48, 8);
+            let db = db();
+            let inv = LogInventory::scan(&storage);
+            let m = Arc::new(RecoveryMetrics::new());
+            let r = replay(
+                &test_ctx(&storage, &inv, &db, &reg, &m, threads, u64::MAX),
+                &gdg,
+                mode,
+            )
+            .unwrap();
+            (db, r)
+        }
+
+        #[test]
+        fn mixed_batches_replay_and_count_formats() {
+            let (db, r) = run(ReplayMode::Pipelined, 4);
+            assert_eq!(r.txns, 48);
+            assert_eq!(r.replayed_commands, 32);
+            assert_eq!(r.applied_writes, 16);
+            // Commands re-executed: every key saw 4 increments of 1.
+            let mut t = db.begin();
+            assert_eq!(t.read(ACCT, 0).unwrap().col(0), &Value::Int(104));
+            // Logical records short-circuited: after-images installed as-is.
+            assert_eq!(t.read(AUDIT, 0).unwrap().col(0), &Value::Int(10));
+        }
+
+        #[test]
+        fn all_modes_agree_on_mixed_logs() {
+            let (db_ps, _) = run(ReplayMode::PureStatic, 4);
+            let (db_sync, _) = run(ReplayMode::Synchronous, 4);
+            let (db_pipe, _) = run(ReplayMode::Pipelined, 8);
+            let f = db_ps.fingerprint();
+            assert_eq!(f, db_sync.fingerprint());
+            assert_eq!(f, db_pipe.fingerprint());
+        }
+
+        #[test]
+        fn empty_inventory_is_trivial() {
+            let reg = registry();
+            let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
+            let storage = StorageSet::for_tests();
+            let db = db();
+            let inv = LogInventory::scan(&storage);
+            let m = Arc::new(RecoveryMetrics::new());
+            let r = replay(
+                &test_ctx(&storage, &inv, &db, &reg, &m, 2, u64::MAX),
+                &gdg,
+                ReplayMode::Pipelined,
+            )
+            .unwrap();
+            assert_eq!(r.txns, 0);
+        }
     }
 }

@@ -18,8 +18,10 @@
 //!   or loop indices fall back to every shard of the op's table.
 //!
 //! [`GatedAdmission`] packages a gate plus a map behind the engine's
-//! [`AdmissionControl`] trait, which is what transaction drivers consume.
+//! [`AdmissionControl`] trait, which is what transaction drivers consume;
+//! [`scheme_admission`] builds both for a scheme.
 
+use crate::recovery::RecoveryScheme;
 use crate::static_analysis::GlobalGraph;
 use pacman_common::{BlockId, Key, ProcId, Result, TableId};
 use pacman_engine::{AdmissionControl, Database, RecoveryGate};
@@ -246,6 +248,30 @@ impl GateMap {
                 out
             }
         }
+    }
+}
+
+/// The gate and footprint map over `scheme`'s partition space, for an
+/// online recovery session or a hot standby. `residency` adds a
+/// checkpoint-residency plane over the tuple scheme's shard numbering
+/// (lazy base-image reload). [`ShardMap::new`] is a pure function of the
+/// catalog, so the apply lanes and the lazy loader that build their own
+/// map share this numbering.
+pub(crate) fn scheme_admission(
+    scheme: RecoveryScheme,
+    db: &Arc<Database>,
+    gdg: &GlobalGraph,
+    registry: &ProcRegistry,
+    residency: bool,
+) -> Arc<GatedAdmission> {
+    if scheme == RecoveryScheme::LlrP {
+        let shards = ShardMap::new(db);
+        let planes = if residency { shards.total() } else { 0 };
+        let gate = RecoveryGate::with_residency(shards.total(), planes);
+        GatedAdmission::new(gate, GateMap::shards(Arc::clone(db), shards, registry))
+    } else {
+        let gate = RecoveryGate::new(gdg.num_blocks());
+        GatedAdmission::new(gate, GateMap::blocks(gdg, registry))
     }
 }
 

@@ -7,27 +7,27 @@
 //! the latch remains the scalability ceiling (Figs. 14/15).
 
 use crate::metrics::RecoveryMetrics;
-use crate::recovery::plr::{reload_files, LogRecovery};
-use crate::recovery::{decode_records, LogInventory};
-use pacman_common::{Error, Result, Timestamp};
-use pacman_engine::Database;
-use pacman_storage::StorageSet;
+use crate::recovery::plr::reload_files;
+use crate::recovery::{decode_records, LogRecovery, ReplayCtx};
+use pacman_common::{Error, Result};
 use pacman_wal::LogPayload;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// LLR log recovery directly into the indexed tables.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Database,
-    threads: usize,
-    latch: bool,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &RecoveryMetrics,
-) -> Result<LogRecovery> {
+/// LLR log recovery directly into the indexed tables. Latched and
+/// multi-versioned, LLR has no partition watermark, so it ignores
+/// `ctx.gate`.
+pub fn replay(ctx: &ReplayCtx, latch: bool) -> Result<LogRecovery> {
+    let ReplayCtx {
+        storage,
+        inventory,
+        db,
+        threads,
+        pepoch,
+        after_ts,
+        metrics,
+        ..
+    } = *ctx;
     let t0 = Instant::now();
     let files = metrics.timed(RecoveryMetrics::add_load, || {
         reload_files(storage, inventory, threads)
@@ -106,11 +106,14 @@ pub fn recover_log(
         return Err(e);
     }
 
+    let txns = txns.load(Ordering::Relaxed);
     Ok(LogRecovery {
         reload,
         total: t0.elapsed(),
         max_ts: max_ts.load(Ordering::Relaxed),
-        txns: txns.load(Ordering::Relaxed),
+        txns,
+        // Every LLR record is a tuple-level after-image (anything else errors).
+        applied_writes: txns,
         ..Default::default()
     })
 }
@@ -118,10 +121,14 @@ pub fn recover_log(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{test_ctx, LogInventory};
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, Row, TableId, Value};
-    use pacman_engine::{Catalog, WriteKind, WriteRecord};
+    use pacman_engine::{Catalog, Database, WriteKind, WriteRecord};
+    use pacman_sproc::ProcRegistry;
+    use pacman_storage::StorageSet;
     use pacman_wal::TxnLogRecord;
+    use std::sync::Arc;
 
     fn logical(ts: u64, key: u64, val: Option<i64>) -> TxnLogRecord {
         TxnLogRecord {
@@ -155,13 +162,15 @@ mod tests {
 
         let mut c = Catalog::new();
         c.add_table("t", 1);
-        let db = Database::new(c);
+        let db = Arc::new(Database::new(c));
         db.seed_row(TableId::new(0), 4, Row::from([Value::Int(9)]))
             .unwrap();
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        let r = recover_log(&storage, &inv, &db, 2, true, 5, 0, &m).unwrap();
+        let m = Arc::new(RecoveryMetrics::new());
+        let reg = ProcRegistry::new();
+        let r = replay(&test_ctx(&storage, &inv, &db, &reg, &m, 2, 5), true).unwrap();
         assert_eq!(r.txns, 3);
+        assert_eq!(r.replayed_commands + r.applied_writes, r.txns);
         let chain = db.table(TableId::new(0)).unwrap().get(3).unwrap();
         assert_eq!(chain.num_versions(), 2, "multi-versioned restore");
         assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(20));
@@ -185,10 +194,11 @@ mod tests {
         storage.disk(0).append("log/00/0000000000", &buf);
         let mut c = Catalog::new();
         c.add_table("t", 1);
-        let db = Database::new(c);
+        let db = Arc::new(Database::new(c));
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        let r = recover_log(&storage, &inv, &db, 1, false, 1, 0, &m).unwrap();
+        let m = Arc::new(RecoveryMetrics::new());
+        let reg = ProcRegistry::new();
+        let r = replay(&test_ctx(&storage, &inv, &db, &reg, &m, 1, 1), false).unwrap();
         assert_eq!(r.txns, 1);
         let chain = db.table(TableId::new(0)).unwrap().get(3).unwrap();
         assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(10));

@@ -2,305 +2,201 @@
 //! §6.2).
 //!
 //! Every log entry is treated as a write-only transaction: each batch's
-//! writes are shuffled by (table, primary key) onto the recovery threads,
-//! then reinstalled latch-free with last-writer-wins. A key is owned by
-//! exactly one thread, and each thread applies its stream in commitment
-//! order, so no synchronization is needed — the property that lets LLR-P
-//! outperform latched LLR (Fig. 16).
+//! writes are shuffled onto partitions and reinstalled latch-free with
+//! last-writer-wins. A partition's stream is applied by one thread at a
+//! time in commitment order, so no synchronization is needed — the
+//! property that lets LLR-P outperform latched LLR (Fig. 16).
+//!
+//! Two partitionings, picked by whether the replay is gated:
+//!
+//! * **offline** — by key hash onto one thread-private lane per thread,
+//!   fed through channels;
+//! * **online** — by *index shard*, the unit the [`RecoveryGate`] tracks,
+//!   through the shared shard-apply pool (`shard_apply`), so a waiting
+//!   transaction's cold shards can be redone on demand.
+//!
+//! The offline lanes stay because they measured about 6% faster than the
+//! shard-apply pool on the same image (`docs/RECOVERY.md`, "LLR-P's two
+//! apply paths").
 
-use crate::metrics::RecoveryMetrics;
-use crate::recovery::plr::LogRecovery;
-use crate::recovery::{read_merged_batch_view, LogInventory};
+use crate::recovery::gate::ShardMap;
+use crate::recovery::shard_apply::{run_shard_worker, ShardApply};
+use crate::recovery::{read_merged_batch_view, LogRecovery, ReplayCtx};
 use pacman_common::{Error, Result, Timestamp};
-use pacman_engine::{Database, WriteRecord};
-use pacman_storage::StorageSet;
+use pacman_engine::{RecoveryGate, WriteRecord};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// LLR-P log recovery.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Database,
-    threads: usize,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &RecoveryMetrics,
-) -> Result<LogRecovery> {
-    let threads = threads.max(1);
+/// One batch's writes, grouped by destination partition.
+type Groups = Vec<Vec<(Timestamp, WriteRecord)>>;
+
+/// LLR-P log recovery: key-hash lanes offline, index-shard lanes with
+/// watermarks when `ctx.gate` is set.
+pub fn replay(ctx: &ReplayCtx) -> Result<LogRecovery> {
     let t0 = Instant::now();
-    let reload_ns = std::sync::atomic::AtomicU64::new(0);
-    let stats = parking_lot::Mutex::new((0u64, 0u64)); // (max_ts, txns)
-    let err = parking_lot::Mutex::new(None::<Error>);
+    let mut log = match ctx.gate {
+        None => replay_lanes(ctx)?,
+        Some(gate) => replay_shards(ctx, gate)?,
+    };
+    log.total = t0.elapsed();
+    Ok(log)
+}
 
-    // Producer: reload + merge + shuffle the next batch while consumers
-    // reinstall the current one (batch pipelining adopted from PACMAN).
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<Vec<(Timestamp, WriteRecord)>>>(2);
+/// Offline LLR-P: one persistent latch-free worker per key-hash lane.
+/// The loader reloads, merges and shuffles the next batch while the lanes
+/// reinstall the current one (batch pipelining adopted from PACMAN).
+fn replay_lanes(ctx: &ReplayCtx) -> Result<LogRecovery> {
+    let threads = ctx.threads.max(1);
+    let (tx, rx) = crossbeam::channel::bounded::<Groups>(2);
     crossbeam::thread::scope(|scope| {
-        {
-            let err = &err;
-            let stats = &stats;
-            let reload_ns = &reload_ns;
-            let metrics = &metrics;
-            scope.spawn(move |_| {
-                for batch in inventory.batches() {
-                    let tr = Instant::now();
-                    let merged =
-                        match read_merged_batch_view(storage, inventory, batch, pepoch, after_ts) {
-                            Ok(m) => m,
-                            Err(e) => {
-                                *err.lock() = Some(e);
-                                return;
-                            }
-                        };
-                    reload_ns.fetch_add(
-                        tr.elapsed().as_nanos() as u64,
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                    metrics.add_load(tr.elapsed());
-                    if merged.is_empty() {
-                        continue;
-                    }
-                    // Shuffle writes by (table, key) onto the threads —
-                    // decoded straight off the borrowed batch spans, so
-                    // each write is materialized exactly once, already
-                    // owned by its destination partition.
-                    let tp = Instant::now();
-                    let mut partitions: Vec<Vec<(Timestamp, WriteRecord)>> =
-                        (0..threads).map(|_| Vec::new()).collect();
-                    {
-                        let mut st = stats.lock();
-                        for rec in merged.iter() {
-                            let Some(writes) = rec.writes() else {
-                                *err.lock() = Some(Error::Corrupt(
-                                    "LLR-P requires tuple-level log records".into(),
-                                ));
-                                return;
-                            };
-                            st.0 = st.0.max(rec.ts());
-                            st.1 += 1;
-                            for w in writes {
-                                let h = (w.key ^ ((w.table.0 as u64) << 32))
-                                    .wrapping_mul(0x9E3779B97F4A7C15)
-                                    >> 32;
-                                partitions[h as usize % threads].push((rec.ts(), w));
-                            }
-                        }
-                    }
-                    metrics.add_param(tp.elapsed());
-                    if tx.send(partitions).is_err() {
-                        return;
-                    }
-                }
-                drop(tx);
-            });
-        }
+        let loader = scope.spawn(move |_| {
+            load_batches(
+                ctx,
+                threads,
+                |w| {
+                    let h =
+                        (w.key ^ ((w.table.0 as u64) << 32)).wrapping_mul(0x9E3779B97F4A7C15) >> 32;
+                    Ok(h as usize % threads)
+                },
+                |_, groups| {
+                    let full = std::mem::replace(groups, vec![Vec::new(); threads]);
+                    tx.send(full).is_ok()
+                },
+            )
+        });
 
-        // Consumers: one persistent worker per partition lane, latch-free.
-        let lanes: Vec<crossbeam::channel::Sender<Vec<(Timestamp, WriteRecord)>>> = (0..threads)
+        let (lanes, workers): (Vec<_>, Vec<_>) = (0..threads)
             .map(|_| {
                 let (ltx, lrx) = crossbeam::channel::bounded::<Vec<(Timestamp, WriteRecord)>>(2);
-                let err = &err;
-                let metrics = &metrics;
-                scope.spawn(move |_| {
+                let worker = scope.spawn(move |_| -> Result<()> {
                     for part in lrx.iter() {
                         let t0 = Instant::now();
                         for (ts, w) in part {
-                            match db.table(w.table) {
-                                Ok(table) => {
-                                    // `w` is owned here: the after-image
-                                    // moves into the version chain.
-                                    table.install_lww(w.key, ts, w.after);
-                                }
-                                Err(e) => {
-                                    let mut s = err.lock();
-                                    if s.is_none() {
-                                        *s = Some(e);
-                                    }
-                                    return;
-                                }
-                            }
+                            // `w` is owned here: the after-image moves
+                            // into the version chain.
+                            ctx.db.table(w.table)?.install_lww(w.key, ts, w.after);
                         }
-                        metrics.add_work(t0.elapsed());
+                        ctx.metrics.add_work(t0.elapsed());
                     }
+                    Ok(())
                 });
-                ltx
+                (ltx, worker)
             })
-            .collect();
+            .unzip();
 
         // Distributor: fan each batch's partitions out to the lanes. Lane
         // order preserves per-key commitment order (each key maps to one
         // lane; batches are sent in order).
-        for partitions in rx.iter() {
-            for (lane, part) in lanes.iter().zip(partitions) {
+        'fan: for groups in rx.iter() {
+            for (lane, part) in lanes.iter().zip(groups) {
                 if !part.is_empty() && lane.send(part).is_err() {
-                    break;
+                    break 'fan;
                 }
             }
         }
+        drop(rx);
         drop(lanes);
+        let loaded = loader.join().expect("llr-p loader");
+        for w in workers {
+            w.join().expect("llr-p lane")?;
+        }
+        loaded
     })
-    .expect("llr-p scope");
-    if let Some(e) = err.into_inner() {
-        return Err(e);
-    }
-
-    let (max_ts, txns) = stats.into_inner();
-    Ok(LogRecovery {
-        reload: std::time::Duration::from_nanos(
-            reload_ns.load(std::sync::atomic::Ordering::Relaxed),
-        ),
-        total: t0.elapsed(),
-        max_ts,
-        txns,
-        ..Default::default()
-    })
+    .expect("llr-p scope")
 }
 
-/// Online LLR-P: per-(table, shard) replay with admission watermarks.
-///
-/// The offline path partitions writes by key hash onto thread-private
-/// lanes; the online path partitions by *index shard* instead — the unit
-/// the [`RecoveryGate`] tracks — so a waiting transaction's cold shards
-/// can be redone on demand:
-///
-/// * a loader streams batches in order and appends each batch's writes to
-///   per-shard queues, bumping the loaded-batch frontier;
-/// * workers drain whole shard queues (shards with blocked admissions
-///   first), install latch-free, and publish the shard's applied-batch
-///   watermark;
-/// * a shard's stream is applied by one worker at a time (the queue lock
-///   is held across the install), preserving per-key commitment order.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log_online(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &std::sync::Arc<Database>,
-    gate: &std::sync::Arc<pacman_engine::RecoveryGate>,
-    map: &crate::recovery::gate::ShardMap,
-    threads: usize,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &RecoveryMetrics,
-) -> Result<LogRecovery> {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    let threads = threads.max(1);
-    let t0 = Instant::now();
-    let batches = inventory.batches();
-    let reload_ns = AtomicU64::new(0);
-    let stats = parking_lot::Mutex::new((0u64, 0u64)); // (max_ts, txns)
-    let err = parking_lot::Mutex::new(None::<Error>);
-
-    let shards = crate::recovery::shard_apply::lanes(map.total());
-    let loaded = AtomicU64::new(0);
-    let loader_done = AtomicBool::new(false);
-
-    crossbeam::thread::scope(|scope| {
-        {
-            let err = &err;
-            let stats = &stats;
-            let reload_ns = &reload_ns;
-            let metrics = &metrics;
-            let shards = &shards;
-            let loaded = &loaded;
-            let loader_done = &loader_done;
-            let batches = &batches;
-            scope.spawn(move |_| {
-                let mut groups: Vec<Vec<(Timestamp, WriteRecord)>> =
-                    (0..shards.len()).map(|_| Vec::new()).collect();
-                for (bi, &batch) in batches.iter().enumerate() {
-                    let tr = Instant::now();
-                    let merged =
-                        match read_merged_batch_view(storage, inventory, batch, pepoch, after_ts) {
-                            Ok(m) => m,
-                            Err(e) => {
-                                *err.lock() = Some(e);
-                                break;
-                            }
-                        };
-                    reload_ns.fetch_add(tr.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    metrics.add_load(tr.elapsed());
-                    {
-                        let mut st = stats.lock();
-                        for rec in merged.iter() {
-                            let Some(writes) = rec.writes() else {
-                                *err.lock() = Some(Error::Corrupt(
-                                    "LLR-P requires tuple-level log records".into(),
-                                ));
-                                break;
-                            };
-                            st.0 = st.0.max(rec.ts());
-                            st.1 += 1;
-                            for w in writes {
-                                match map.partition(db, w.table, w.key) {
-                                    Ok(p) => groups[p].push((rec.ts(), w)),
-                                    Err(e) => {
-                                        *err.lock() = Some(e);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
+/// Online LLR-P: the shard-apply pool drains per-(table, shard) queues —
+/// shards with blocked admissions first — and publishes each shard's
+/// applied-batch watermark to `gate`.
+fn replay_shards(ctx: &ReplayCtx, gate: &RecoveryGate) -> Result<LogRecovery> {
+    let map = ShardMap::new(ctx.db);
+    let state = ShardApply::new(map.total());
+    let tally = crossbeam::thread::scope(|scope| {
+        for worker in 0..ctx.threads.max(1) {
+            let state = &state;
+            scope.spawn(move |_| run_shard_worker(state, ctx.db, gate, ctx.metrics, worker));
+        }
+        // Append each batch's writes to the per-shard queues, then
+        // publish the batch as the new frontier.
+        let tally = load_batches(
+            ctx,
+            map.total(),
+            |w| map.partition(ctx.db, w.table, w.key),
+            |bi, groups| {
+                for (lane, g) in state.lanes.iter().zip(groups.iter_mut()) {
+                    if !g.is_empty() {
+                        lane.queue.lock().append(g);
                     }
-                    if err.lock().is_some() {
-                        break;
-                    }
-                    for (p, g) in groups.iter_mut().enumerate() {
-                        if !g.is_empty() {
-                            shards[p].queue.lock().append(g);
-                        }
-                    }
-                    loaded.store(bi as u64 + 1, Ordering::Release);
                 }
-                loader_done.store(true, Ordering::Release);
-            });
+                state.loaded.store(bi + 1, Ordering::Release);
+                state.err.lock().is_none()
+            },
+        );
+        if let Err(e) = &tally {
+            state.fail(e.clone());
         }
-
-        for worker in 0..threads {
-            let err = &err;
-            let metrics = &metrics;
-            let shards = &shards;
-            let loaded = &loaded;
-            let loader_done = &loader_done;
-            scope.spawn(move |_| {
-                crate::recovery::shard_apply::run_shard_worker(
-                    shards,
-                    db,
-                    gate,
-                    metrics,
-                    err,
-                    || loaded.load(Ordering::Acquire),
-                    || loader_done.load(Ordering::Acquire),
-                    worker,
-                );
-            });
-        }
+        state.done.store(true, Ordering::Release);
+        tally
     })
     .expect("llr-p online scope");
-    if let Some(e) = err.into_inner() {
-        return Err(e);
+    match state.err.into_inner() {
+        Some(e) => Err(e),
+        None => tally,
     }
+}
 
-    let (max_ts, txns) = stats.into_inner();
-    Ok(LogRecovery {
-        reload: std::time::Duration::from_nanos(
-            reload_ns.load(std::sync::atomic::Ordering::Relaxed),
-        ),
-        total: t0.elapsed(),
-        max_ts,
-        txns,
-        ..Default::default()
-    })
+/// The LLR-P loader: read every batch in order, route each write to
+/// `groups[route(write)]` (decoded straight off the borrowed batch spans,
+/// so each write is materialized once, already owned by its partition),
+/// and hand the groups to `deliver` with the batch's index. `deliver`
+/// empties the groups (or swaps in fresh ones); returning false stops the
+/// loader.
+fn load_batches(
+    ctx: &ReplayCtx,
+    partitions: usize,
+    route: impl Fn(&WriteRecord) -> Result<usize>,
+    mut deliver: impl FnMut(u64, &mut Groups) -> bool,
+) -> Result<LogRecovery> {
+    let mut log = LogRecovery::default();
+    let mut groups: Groups = vec![Vec::new(); partitions];
+    for (bi, batch) in ctx.inventory.batches().into_iter().enumerate() {
+        let tr = Instant::now();
+        let merged =
+            read_merged_batch_view(ctx.storage, ctx.inventory, batch, ctx.pepoch, ctx.after_ts)?;
+        log.reload += tr.elapsed();
+        ctx.metrics.add_load(tr.elapsed());
+        let tp = Instant::now();
+        for rec in merged.iter() {
+            let writes = rec
+                .writes()
+                .ok_or_else(|| Error::Corrupt("LLR-P requires tuple-level log records".into()))?;
+            // Every LLR-P record installs after-images.
+            log.count(rec.ts(), false);
+            for w in writes {
+                let p = route(&w)?;
+                groups[p].push((rec.ts(), w));
+            }
+        }
+        ctx.metrics.add_param(tp.elapsed());
+        if !deliver(bi as u64, &mut groups) {
+            break;
+        }
+    }
+    Ok(log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RecoveryMetrics;
+    use crate::recovery::{test_ctx, LogInventory};
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, Row, TableId, Value};
-    use pacman_engine::{Catalog, WriteKind};
+    use pacman_engine::{Catalog, Database, WriteKind};
+    use pacman_sproc::ProcRegistry;
+    use pacman_storage::StorageSet;
     use pacman_wal::{LogPayload, TxnLogRecord};
+    use std::sync::Arc;
 
     fn logical(ts: u64, key: u64, val: i64) -> TxnLogRecord {
         TxnLogRecord {
@@ -335,11 +231,13 @@ mod tests {
 
         let mut c = Catalog::new();
         c.add_table("t", 1);
-        let db = Database::new(c);
+        let db = Arc::new(Database::new(c));
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        let r = recover_log(&storage, &inv, &db, 4, 5, 0, &m).unwrap();
+        let m = Arc::new(RecoveryMetrics::new());
+        let reg = ProcRegistry::new();
+        let r = replay(&test_ctx(&storage, &inv, &db, &reg, &m, 4, 5)).unwrap();
         assert_eq!(r.txns, 4);
+        assert_eq!(r.replayed_commands + r.applied_writes, r.txns);
         let t = db.table(TableId::new(0)).unwrap();
         assert_eq!(
             t.get(7).unwrap().newest().1.unwrap().col(0),
@@ -366,13 +264,18 @@ mod tests {
 
         let mut c = Catalog::new();
         c.add_table_sharded("t", 1, 2);
-        let db = std::sync::Arc::new(Database::new(c));
-        let map = crate::recovery::gate::ShardMap::new(&db);
+        let db = Arc::new(Database::new(c));
+        let map = ShardMap::new(&db);
         let gate = pacman_engine::RecoveryGate::new(map.total());
         gate.set_total_batches(2);
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        let r = recover_log_online(&storage, &inv, &db, &gate, &map, 3, u64::MAX, 0, &m).unwrap();
+        let m = Arc::new(RecoveryMetrics::new());
+        let reg = ProcRegistry::new();
+        let ctx = ReplayCtx {
+            gate: Some(&gate),
+            ..test_ctx(&storage, &inv, &db, &reg, &m, 3, u64::MAX)
+        };
+        let r = replay(&ctx).unwrap();
         assert_eq!(r.txns, 3);
         let t = db.table(TableId::new(0)).unwrap();
         assert_eq!(
@@ -404,13 +307,18 @@ mod tests {
         storage.disk(0).append("log/00/0000000000", &rec.to_bytes());
         let mut c = Catalog::new();
         c.add_table("t", 1);
-        let db = std::sync::Arc::new(Database::new(c));
-        let map = crate::recovery::gate::ShardMap::new(&db);
+        let db = Arc::new(Database::new(c));
+        let map = ShardMap::new(&db);
         let gate = pacman_engine::RecoveryGate::new(map.total());
         gate.set_total_batches(1);
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        assert!(recover_log_online(&storage, &inv, &db, &gate, &map, 2, u64::MAX, 0, &m).is_err());
+        let m = Arc::new(RecoveryMetrics::new());
+        let reg = ProcRegistry::new();
+        let ctx = ReplayCtx {
+            gate: Some(&gate),
+            ..test_ctx(&storage, &inv, &db, &reg, &m, 2, u64::MAX)
+        };
+        assert!(replay(&ctx).is_err());
     }
 
     #[test]
@@ -426,9 +334,10 @@ mod tests {
         storage.disk(0).append("log/00/0000000000", &rec.to_bytes());
         let mut c = Catalog::new();
         c.add_table("t", 1);
-        let db = Database::new(c);
+        let db = Arc::new(Database::new(c));
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        assert!(recover_log(&storage, &inv, &db, 2, 5, 0, &m).is_err());
+        let m = Arc::new(RecoveryMetrics::new());
+        let reg = ProcRegistry::new();
+        assert!(replay(&test_ctx(&storage, &inv, &db, &reg, &m, 2, 5)).is_err());
     }
 }

@@ -12,9 +12,9 @@ use crate::metrics::{Breakdown, RecoveryMetrics};
 use crate::recovery::checkpoint::{
     recover_checkpoint_chain, run_lazy_loader, CheckpointRecovery, CheckpointTarget,
 };
-use crate::recovery::gate::{GateMap, GatedAdmission, ShardMap};
+use crate::recovery::gate::{scheme_admission, GatedAdmission, ShardMap};
 use crate::recovery::raw::RawStore;
-use crate::recovery::{alr_p, clr, clr_p, llr, llr_p, plr, LogInventory};
+use crate::recovery::{clr, clr_p, llr, llr_p, plr, LogInventory, LogRecovery, ReplayCtx};
 use crate::runtime::ReplayMode;
 use crate::static_analysis::GlobalGraph;
 use pacman_common::clock::{epoch_floor, epoch_of, EPOCH_SHIFT};
@@ -23,10 +23,11 @@ use pacman_engine::{AdmissionControl, Catalog, Database, RecoveryGate};
 use pacman_obs::{RecoveryPhase, TraceEvent};
 use pacman_sproc::ProcRegistry;
 use pacman_storage::{StorageSet, TraceDumpSink};
-use pacman_wal::checkpoint::read_chain;
+use pacman_wal::checkpoint::{read_chain, CheckpointChain};
 use pacman_wal::pepoch::PepochHandle;
 use pacman_wal::{Durability, RetentionHold};
 use parking_lot::{Condvar, Mutex};
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -85,8 +86,8 @@ pub enum RecoveryScheme {
         /// Replay mode (Fig. 19 ablation; `Pipelined` is full PACMAN).
         mode: ReplayMode,
     },
-    /// Adaptive hybrid log recovery: PACMAN's partitioned schedule over a
-    /// mixed command/logical log (`LogScheme::Adaptive`).
+    /// Adaptive hybrid log recovery: CLR-P over a mixed command/logical
+    /// log (`LogScheme::Adaptive`); the variant labels the run.
     AlrP {
         /// Replay mode (`Pipelined` is the full scheme).
         mode: ReplayMode,
@@ -184,6 +185,127 @@ pub struct RecoveryOutcome {
     pub report: RecoveryReport,
 }
 
+/// Emit a recovery phase transition to the tracer.
+fn phase(phase: RecoveryPhase) {
+    pacman_obs::tracer().emit(TraceEvent::Phase { phase });
+}
+
+/// What both recovery shapes read before restoring anything, and the
+/// state one recovery carries from that scan to its report.
+struct Scan {
+    t_all: Instant,
+    storage: StorageSet,
+    registry: ProcRegistry,
+    scheme: RecoveryScheme,
+    threads: usize,
+    metrics: Arc<RecoveryMetrics>,
+    /// Failure dumps of this recovery land in its own storage while the
+    /// scan lives.
+    _sink: RecoverySinkGuard,
+    pepoch: u64,
+    chain: Option<CheckpointChain>,
+    inventory: LogInventory,
+    db: Arc<Database>,
+    /// PLR's index-free restore target (unused by the other schemes).
+    raw: RawStore,
+    /// Built on first use by the schemes that need it (see [`Scan::gdg`]).
+    gdg: OnceCell<Arc<GlobalGraph>>,
+}
+
+impl Scan {
+    fn new(
+        storage: &StorageSet,
+        catalog: &Catalog,
+        registry: &ProcRegistry,
+        config: &RecoveryConfig,
+    ) -> Result<Scan> {
+        let t_all = Instant::now();
+        let metrics = Arc::new(RecoveryMetrics::new());
+        metrics.register_into(pacman_obs::registry());
+        let sink = RecoverySinkGuard::register(storage);
+        phase(RecoveryPhase::Scan);
+        Ok(Scan {
+            t_all,
+            storage: storage.clone(),
+            registry: registry.clone(),
+            scheme: config.scheme,
+            threads: config.threads.max(1),
+            metrics,
+            _sink: sink,
+            pepoch: PepochHandle::read_persisted(storage.disk(0)),
+            chain: read_chain(storage)?,
+            inventory: LogInventory::scan(storage),
+            db: Arc::new(Database::new(catalog.clone())),
+            raw: RawStore::new(catalog.len()),
+            gdg: OnceCell::new(),
+        })
+    }
+
+    /// The global dependency graph, for the schemes that need one: CLR-P
+    /// and ALR-P replay over it, and online sessions size their gate by
+    /// it. Static analysis happens at compile time (§4.1); the graph is
+    /// rebuilt here for self-containedness. The other offline schemes
+    /// never analyse the registry, so they also recover logs of
+    /// procedures the §5 key-computability check rejects.
+    fn gdg(&self) -> Result<&Arc<GlobalGraph>> {
+        if let Some(g) = self.gdg.get() {
+            return Ok(g);
+        }
+        let g = Arc::new(GlobalGraph::analyze(self.registry.all())?);
+        Ok(self.gdg.get_or_init(|| g))
+    }
+
+    /// The one scheme dispatch: each apply strategy's replay function,
+    /// offline, or online when `gate` is set. ALR-P is CLR-P over a mixed
+    /// log.
+    fn replay(&self, after_ts: Timestamp, gate: Option<&Arc<RecoveryGate>>) -> Result<LogRecovery> {
+        let ctx = ReplayCtx {
+            storage: &self.storage,
+            inventory: &self.inventory,
+            db: &self.db,
+            registry: &self.registry,
+            threads: self.threads,
+            pepoch: self.pepoch,
+            after_ts,
+            metrics: &self.metrics,
+            gate,
+        };
+        match self.scheme {
+            RecoveryScheme::Plr { latch } => plr::replay(&ctx, &self.raw, latch),
+            RecoveryScheme::Llr { latch } => llr::replay(&ctx, latch),
+            RecoveryScheme::LlrP => llr_p::replay(&ctx),
+            RecoveryScheme::Clr => clr::replay(&ctx),
+            RecoveryScheme::ClrP { mode } | RecoveryScheme::AlrP { mode } => {
+                clr_p::replay(&ctx, self.gdg()?, mode)
+            }
+        }
+    }
+
+    /// Resume the clock past everything replayed and report the run.
+    fn report(&self, ckpt: &CheckpointRecovery, log: &LogRecovery) -> RecoveryReport {
+        self.db.clock().advance_to(log.max_ts.max(ckpt.ckpt_ts) + 1);
+        RecoveryReport {
+            scheme: self.scheme.label().to_string(),
+            threads: self.threads,
+            checkpoint_reload_secs: ckpt.reload.as_secs_f64(),
+            checkpoint_total_secs: ckpt.total.as_secs_f64(),
+            log_reload_secs: log.reload.as_secs_f64(),
+            log_total_secs: log.total.as_secs_f64(),
+            total_secs: self.t_all.elapsed().as_secs_f64(),
+            breakdown: self.metrics.breakdown(),
+            txns: log.txns,
+            replayed_commands: log.replayed_commands,
+            applied_writes: log.applied_writes,
+            checkpoint_tuples: ckpt.tuples,
+            ckpt_chain_len: ckpt.chain_len,
+            ondemand_shard_loads: self.metrics.ondemand_shard_loads(),
+            background_shard_loads: self.metrics.background_shard_loads(),
+            pepoch: self.pepoch,
+            ckpt_ts: ckpt.ckpt_ts,
+        }
+    }
+}
+
 /// Run full recovery (checkpoint + log) against what the crash left on the
 /// devices.
 pub fn recover(
@@ -192,97 +314,31 @@ pub fn recover(
     registry: &ProcRegistry,
     config: &RecoveryConfig,
 ) -> Result<RecoveryOutcome> {
-    let t_all = Instant::now();
-    let metrics = Arc::new(RecoveryMetrics::new());
-    metrics.register_into(pacman_obs::registry());
-    let tracer = pacman_obs::tracer();
-    let _sink = RecoverySinkGuard::register(storage);
-    tracer.emit(TraceEvent::Phase {
-        phase: RecoveryPhase::Scan,
-    });
-    let pepoch = PepochHandle::read_persisted(storage.disk(0));
-    let chain = read_chain(storage)?;
-    let inventory = LogInventory::scan(storage);
-    let db = Arc::new(Database::new(catalog.clone()));
-    let threads = config.threads.max(1);
+    let scan = Scan::new(storage, catalog, registry, config)?;
 
     // Stage 1: checkpoint recovery — every offline scheme restores the
     // manifest chain eagerly through the parallel shard loader.
-    tracer.emit(TraceEvent::Phase {
-        phase: RecoveryPhase::Load,
-    });
-    let raw = RawStore::new(catalog.len());
-    let ckpt: CheckpointRecovery = match (&chain, &config.scheme) {
-        (None, _) => CheckpointRecovery::default(),
-        (Some(c), RecoveryScheme::Plr { .. }) => {
-            recover_checkpoint_chain(storage, c, threads, CheckpointTarget::Raw(&raw))?
-        }
-        (Some(c), _) => {
-            recover_checkpoint_chain(storage, c, threads, CheckpointTarget::Tables(&db))?
+    phase(RecoveryPhase::Load);
+    let ckpt = match &scan.chain {
+        None => CheckpointRecovery::default(),
+        Some(c) => {
+            let target = match config.scheme {
+                RecoveryScheme::Plr { .. } => CheckpointTarget::Raw(&scan.raw),
+                _ => CheckpointTarget::Tables(&scan.db),
+            };
+            recover_checkpoint_chain(storage, c, scan.threads, target)?
         }
     };
-    let after_ts = ckpt.ckpt_ts;
 
     // Stage 2: log recovery.
-    tracer.emit(TraceEvent::Phase {
-        phase: RecoveryPhase::Replay,
-    });
-    let log = match config.scheme {
-        RecoveryScheme::Plr { latch } => plr::recover_log(
-            storage, &inventory, &raw, &db, threads, latch, pepoch, after_ts, &metrics,
-        )?,
-        RecoveryScheme::Llr { latch } => llr::recover_log(
-            storage, &inventory, &db, threads, latch, pepoch, after_ts, &metrics,
-        )?,
-        RecoveryScheme::LlrP => llr_p::recover_log(
-            storage, &inventory, &db, threads, pepoch, after_ts, &metrics,
-        )?,
-        RecoveryScheme::Clr => clr::recover_log(
-            storage, &inventory, &db, registry, pepoch, after_ts, &metrics,
-        )?,
-        RecoveryScheme::ClrP { mode } => {
-            // Static analysis happens at compile time (§4.1); the graph is
-            // rebuilt here for self-containedness but not billed to
-            // recovery time.
-            let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
-            clr_p::recover_log(
-                storage, &inventory, &db, &gdg, registry, threads, mode, pepoch, after_ts, &metrics,
-            )?
-        }
-        RecoveryScheme::AlrP { mode } => {
-            let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
-            alr_p::recover_log(
-                storage, &inventory, &db, &gdg, registry, threads, mode, pepoch, after_ts, &metrics,
-            )?
-        }
-    };
-
-    // Resume the clock past everything replayed.
-    db.clock().advance_to(log.max_ts.max(after_ts) + 1);
-
-    let report = RecoveryReport {
-        scheme: config.scheme.label().to_string(),
-        threads,
-        checkpoint_reload_secs: ckpt.reload.as_secs_f64(),
-        checkpoint_total_secs: ckpt.total.as_secs_f64(),
-        log_reload_secs: log.reload.as_secs_f64(),
-        log_total_secs: log.total.as_secs_f64(),
-        total_secs: t_all.elapsed().as_secs_f64(),
-        breakdown: metrics.breakdown(),
-        txns: log.txns,
-        replayed_commands: log.replayed_commands,
-        applied_writes: log.applied_writes,
-        checkpoint_tuples: ckpt.tuples,
-        ckpt_chain_len: ckpt.chain_len,
-        ondemand_shard_loads: 0,
-        background_shard_loads: 0,
-        pepoch,
-        ckpt_ts: after_ts,
-    };
-    tracer.emit(TraceEvent::Phase {
-        phase: RecoveryPhase::Complete,
-    });
-    Ok(RecoveryOutcome { db, report })
+    phase(RecoveryPhase::Replay);
+    let log = scan.replay(ckpt.ckpt_ts, None)?;
+    let report = scan.report(&ckpt, &log);
+    phase(RecoveryPhase::Complete);
+    Ok(RecoveryOutcome {
+        db: Arc::clone(&scan.db),
+        report,
+    })
 }
 
 /// Lifecycle state of an online recovery session.
@@ -451,19 +507,7 @@ pub fn recover_online(
             config.scheme.label()
         )));
     }
-    let t_all = Instant::now();
-    let metrics = Arc::new(RecoveryMetrics::new());
-    metrics.register_into(pacman_obs::registry());
-    let tracer = pacman_obs::tracer();
-    let sink_guard = RecoverySinkGuard::register(storage);
-    tracer.emit(TraceEvent::Phase {
-        phase: RecoveryPhase::Scan,
-    });
-    let pepoch = PepochHandle::read_persisted(storage.disk(0));
-    let chain = read_chain(storage)?;
-    let inventory = LogInventory::scan(storage);
-    let db = Arc::new(Database::new(catalog.clone()));
-    let threads = config.threads.max(1);
+    let scan = Scan::new(storage, catalog, registry, config)?;
 
     // Stage 1: base-image restore. Command schemes load the chain eagerly
     // inline (their replay re-executes reads, so the whole base image
@@ -471,14 +515,12 @@ pub fn recover_online(
     // defers the load *into* the session: shards stream in lazily on
     // background workers, and the gate's residency plane admits a
     // transaction as soon as its own shards are in.
-    let lazy = matches!(config.scheme, RecoveryScheme::LlrP);
-    tracer.emit(TraceEvent::Phase {
-        phase: RecoveryPhase::Load,
-    });
-    let ckpt: CheckpointRecovery = match &chain {
+    let lazy = config.scheme == RecoveryScheme::LlrP;
+    phase(RecoveryPhase::Load);
+    let ckpt: CheckpointRecovery = match &scan.chain {
         None => CheckpointRecovery::default(),
         Some(c) if !lazy => {
-            recover_checkpoint_chain(storage, c, threads, CheckpointTarget::Tables(&db))?
+            recover_checkpoint_chain(storage, c, scan.threads, CheckpointTarget::Tables(&scan.db))?
         }
         Some(c) => CheckpointRecovery {
             ckpt_ts: c.ts(),
@@ -495,45 +537,29 @@ pub fn recover_online(
     // no epoch bound up front; the post-replay advance to `max_ts + 1`
     // covers it once the log has been read.
     let mut clock_floor = after_ts.saturating_add(1);
-    if pepoch != u64::MAX {
-        let next_epoch = pepoch.saturating_add(1).min(u64::MAX >> EPOCH_SHIFT);
+    if scan.pepoch != u64::MAX {
+        let next_epoch = scan.pepoch.saturating_add(1).min(u64::MAX >> EPOCH_SHIFT);
         clock_floor = clock_floor.max(epoch_floor(next_epoch));
     }
-    db.clock().advance_to(clock_floor);
+    scan.db.clock().advance_to(clock_floor);
 
-    // Gate + footprint map, sized by the scheme's partition space. The
-    // tuple scheme's shard numbering is built once and shared by the gate
-    // size, the footprint map, and the replay publisher.
-    let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
-    let mut session_shards = None;
-    let (gate, map) = match config.scheme {
-        RecoveryScheme::LlrP => {
-            let shards = ShardMap::new(&db);
-            // Residency plane over the same (table, shard) numbering as
-            // the replay watermarks: one footprint gates both.
-            let gate = RecoveryGate::with_residency(shards.total(), shards.total());
-            if chain.is_none() {
-                gate.set_all_resident();
-            }
-            let map = GateMap::shards(Arc::clone(&db), shards.clone(), registry);
-            session_shards = Some(shards);
-            (gate, map)
-        }
-        _ => {
-            let map = GateMap::blocks(&gdg, registry);
-            let gate = RecoveryGate::new(gdg.num_blocks());
-            (gate, map)
-        }
-    };
-    gate.set_total_batches(inventory.batches().len() as u64);
-    let admission = GatedAdmission::new(Arc::clone(&gate), map);
+    // Gate + footprint map, sized by the scheme's partition space; the
+    // lazy tuple scheme's residency plane shares the shard numbering, so
+    // one footprint gates both.
+    let admission = scheme_admission(config.scheme, &scan.db, scan.gdg()?, registry, lazy);
+    let gate = Arc::clone(admission.gate());
+    if lazy && scan.chain.is_none() {
+        gate.set_all_resident();
+    }
+    gate.set_total_batches(scan.inventory.batches().len() as u64);
 
     // What a retention hold must keep for this session: log batches that
     // may contain the unreplayed tail (records with ts above the base
     // image can share the coverage epoch's batch), and every link of the
     // chain the base image resolves across (root..tip).
     let pin_log_epoch = epoch_of(after_ts);
-    let pin_chain_root = chain
+    let pin_chain_root = scan
+        .chain
         .as_ref()
         .map(|c| c.manifests.last().expect("chains are non-empty").ts)
         .unwrap_or(u64::MAX);
@@ -548,141 +574,54 @@ pub fn recover_online(
         cv: Condvar::new(),
     });
 
+    let db = Arc::clone(&scan.db);
     let join = {
         let shared = Arc::clone(&shared);
         let gate = Arc::clone(&gate);
-        let db = Arc::clone(&db);
-        let storage = storage.clone();
-        let registry = registry.clone();
-        let scheme = config.scheme;
-        let metrics = Arc::clone(&metrics);
         std::thread::Builder::new()
             .name("recovery-session".into())
             .spawn(move || {
                 // A panic anywhere in the recovery body must still settle
                 // the session (gate poisoned, waiters woken) — otherwise
                 // every blocked admission and `wait()` caller hangs.
-                let tracer = pacman_obs::tracer();
-                tracer.emit(TraceEvent::Phase {
-                    phase: RecoveryPhase::Replay,
-                });
+                phase(RecoveryPhase::Replay);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                     || -> Result<RecoveryReport> {
                         let mut ckpt = ckpt;
-                        let log = match scheme {
-                            RecoveryScheme::Clr => clr::recover_log_online(
-                                &storage,
-                                &inventory,
-                                &db,
-                                &registry,
-                                pepoch,
-                                after_ts,
-                                &metrics,
-                                Some(&gate),
-                            )?,
-                            RecoveryScheme::ClrP { mode } => clr_p::recover_log_online(
-                                &storage,
-                                &inventory,
-                                &db,
-                                &gdg,
-                                &registry,
-                                threads,
-                                mode,
-                                pepoch,
-                                after_ts,
-                                &metrics,
-                                Some(Arc::clone(&gate)),
-                            )?,
-                            RecoveryScheme::AlrP { mode } => alr_p::recover_log_online(
-                                &storage,
-                                &inventory,
-                                &db,
-                                &gdg,
-                                &registry,
-                                threads,
-                                mode,
-                                pepoch,
-                                after_ts,
-                                &metrics,
-                                Some(Arc::clone(&gate)),
-                            )?,
-                            RecoveryScheme::LlrP => {
-                                let shards =
-                                    session_shards.as_ref().expect("LlrP built its shard map");
-                                // The lazy base-image loader races the replay on
-                                // purpose: both sides install timestamped LWW
-                                // (part timestamps sort below every replayed
-                                // record), so per-shard arrival order is
-                                // immaterial and the gate — residency plus
-                                // final watermark — is the only admission
-                                // condition.
-                                let mut log_res: Option<Result<_>> = None;
-                                let mut load_res: Result<CheckpointRecovery> = Ok(ckpt);
-                                crossbeam::thread::scope(|scope| {
-                                    if let Some(c) = &chain {
-                                        let gate2 = Arc::clone(&gate);
-                                        let db2 = Arc::clone(&db);
-                                        let storage2 = storage.clone();
-                                        let metrics2 = Arc::clone(&metrics);
-                                        let h = scope.spawn(move |_| {
-                                            run_lazy_loader(
-                                                &storage2,
-                                                c,
-                                                &db2,
-                                                &gate2,
-                                                |p| {
-                                                    shards.shard_partition(
-                                                        p.table as usize,
-                                                        p.shard as usize,
-                                                    )
-                                                },
-                                                threads,
-                                                &metrics2,
-                                            )
-                                        });
-                                        log_res = Some(llr_p::recover_log_online(
-                                            &storage, &inventory, &db, &gate, shards, threads,
-                                            pepoch, after_ts, &metrics,
-                                        ));
-                                        load_res = h.join().expect("lazy loader thread");
-                                    } else {
-                                        log_res = Some(llr_p::recover_log_online(
-                                            &storage, &inventory, &db, &gate, shards, threads,
-                                            pepoch, after_ts, &metrics,
-                                        ));
-                                    }
-                                })
-                                .expect("llr-p online session scope");
-                                let loaded = load_res?;
+                        let log = match &scan.chain {
+                            // The lazy base-image loader races the replay on
+                            // purpose: both sides install timestamped LWW
+                            // (part timestamps sort below every replayed
+                            // record), so per-shard arrival order is
+                            // immaterial and the gate — residency plus final
+                            // watermark — is the only admission condition.
+                            Some(c) if lazy => crossbeam::thread::scope(|scope| {
+                                let loader = scope.spawn(|_| {
+                                    let shards = ShardMap::new(&scan.db);
+                                    run_lazy_loader(
+                                        &scan.storage,
+                                        c,
+                                        &scan.db,
+                                        &gate,
+                                        |p| {
+                                            shards
+                                                .shard_partition(p.table as usize, p.shard as usize)
+                                        },
+                                        scan.threads,
+                                        &scan.metrics,
+                                    )
+                                });
+                                let log = scan.replay(after_ts, Some(&gate));
+                                let loaded = loader.join().expect("lazy loader thread")?;
                                 ckpt.tuples = loaded.tuples;
                                 ckpt.reload = loaded.reload;
                                 ckpt.total = loaded.total;
-                                log_res.expect("replay ran")?
-                            }
-                            RecoveryScheme::Plr { .. } | RecoveryScheme::Llr { .. } => {
-                                unreachable!()
-                            }
+                                log
+                            })
+                            .expect("llr-p online session scope")?,
+                            _ => scan.replay(after_ts, Some(&gate))?,
                         };
-                        db.clock().advance_to(log.max_ts.max(after_ts) + 1);
-                        Ok(RecoveryReport {
-                            scheme: scheme.label().to_string(),
-                            threads,
-                            checkpoint_reload_secs: ckpt.reload.as_secs_f64(),
-                            checkpoint_total_secs: ckpt.total.as_secs_f64(),
-                            log_reload_secs: log.reload.as_secs_f64(),
-                            log_total_secs: log.total.as_secs_f64(),
-                            total_secs: t_all.elapsed().as_secs_f64(),
-                            breakdown: metrics.breakdown(),
-                            txns: log.txns,
-                            replayed_commands: log.replayed_commands,
-                            applied_writes: log.applied_writes,
-                            checkpoint_tuples: ckpt.tuples,
-                            ckpt_chain_len: ckpt.chain_len,
-                            ondemand_shard_loads: metrics.ondemand_shard_loads(),
-                            background_shard_loads: metrics.background_shard_loads(),
-                            pepoch,
-                            ckpt_ts: after_ts,
-                        })
+                        Ok(scan.report(&ckpt, &log))
                     },
                 ))
                 .unwrap_or_else(|_| Err(Error::Unknown("recovery session panicked".into())));
@@ -693,17 +632,13 @@ pub fn recover_online(
                 // `false` and nothing further is admitted.
                 match &result {
                     Ok(_) => {
-                        tracer.emit(TraceEvent::Phase {
-                            phase: RecoveryPhase::Complete,
-                        });
+                        phase(RecoveryPhase::Complete);
                         gate.finish();
                     }
                     Err(_) => {
                         // `fail()` poisons the gate and triggers the
                         // flight-recorder failure dump.
-                        tracer.emit(TraceEvent::Phase {
-                            phase: RecoveryPhase::Failed,
-                        });
+                        phase(RecoveryPhase::Failed);
                         gate.fail();
                     }
                 }
@@ -732,7 +667,7 @@ pub fn recover_online(
                 // now; release this session's sink registration so it
                 // stops pinning the StorageSet and can never swallow a
                 // later recovery's dumps.
-                drop(sink_guard);
+                drop(scan);
             })
             .map_err(|e| Error::Unknown(format!("spawn recovery session: {e}")))?
     };
@@ -843,7 +778,81 @@ mod tests {
                 out.report.scheme
             );
             assert_eq!(out.report.txns, 30);
+            assert_eq!(
+                out.report.replayed_commands + out.report.applied_writes,
+                out.report.txns,
+                "{} replay mix",
+                out.report.scheme
+            );
         }
+    }
+
+    /// CLR re-executes whole commands and never analyses the registry, so
+    /// it recovers a procedure whose write key comes from a read in the
+    /// same piece — which the §5 check rejects, failing only CLR-P.
+    #[test]
+    fn clr_recovers_procedures_the_graph_rejects() {
+        let mut catalog = Catalog::new();
+        catalog.add_table("t", 2);
+        let mut reg = ProcRegistry::new();
+        // Redirect(k, d): t[t[k].0].1 += d.
+        let mut b = ProcBuilder::new(ProcId::new(0), "Redirect", 2);
+        let dst = b.read(T, Expr::param(0), 0);
+        let v = b.read(T, Expr::var(dst), 1);
+        b.write(
+            T,
+            Expr::var(dst),
+            1,
+            Expr::add(Expr::var(v), Expr::param(1)),
+        );
+        reg.register(b.build().unwrap()).unwrap();
+        assert!(matches!(
+            GlobalGraph::analyze(reg.all()),
+            Err(Error::InvalidProcedure(_))
+        ));
+
+        let storage = StorageSet::for_tests();
+        let reference = Arc::new(Database::new(catalog.clone()));
+        for k in 0..8u64 {
+            let row = Row::from([Value::Int(((k + 3) % 8) as i64), Value::Int(0)]);
+            reference.seed_row(T, k, row).unwrap();
+        }
+        pacman_wal::run_checkpoint(&reference, &storage, 1).unwrap();
+        let mut buf = Vec::new();
+        for i in 0..20u64 {
+            let key = i % 8;
+            let mut txn = reference.begin();
+            let dst = txn.read(T, key).unwrap().col(0).as_int().unwrap() as u64;
+            let r = txn.read(T, dst).unwrap();
+            let v = r.col(1).as_int().unwrap();
+            txn.write(T, dst, r.with_col(1, Value::Int(v + 2))).unwrap();
+            let info = txn.commit_with(|| 1).unwrap();
+            TxnLogRecord {
+                ts: info.ts,
+                payload: LogPayload::Command {
+                    proc: ProcId::new(0),
+                    params: vec![Value::Int(key as i64), Value::Int(2)].into(),
+                },
+            }
+            .encode(&mut buf);
+        }
+        storage.disk(0).append("log/00/0000000001", &buf);
+        storage
+            .disk(0)
+            .write_file("pepoch.log", &u64::MAX.to_le_bytes());
+
+        let config = |scheme| RecoveryConfig { scheme, threads: 2 };
+        let out = recover(&storage, &catalog, &reg, &config(RecoveryScheme::Clr)).unwrap();
+        assert_eq!(out.db.fingerprint(), reference.fingerprint());
+        assert_eq!(out.report.txns, 20);
+        assert_eq!(out.report.replayed_commands, 20);
+        let clr_p = RecoveryScheme::ClrP {
+            mode: ReplayMode::Pipelined,
+        };
+        assert!(matches!(
+            recover(&storage, &catalog, &reg, &config(clr_p)),
+            Err(Error::InvalidProcedure(_))
+        ));
     }
 
     /// Online recovery must converge to exactly the offline result, and

@@ -1,20 +1,23 @@
 //! Failure recovery: checkpoint restore + log replay for the five
 //! evaluated schemes of §6.2 plus adaptive hybrid recovery (ALR-P).
 //!
-//! | Scheme | Log type | Parallelism | Latches | Recovered state |
-//! |--------|----------|-------------|---------|-----------------|
-//! | PLR    | physical | per-file, LWW | yes  | multi-version   |
-//! | LLR    | logical  | per-file      | yes  | multi-version   |
-//! | LLR-P  | logical  | key-partitioned (from PACMAN, §4.5) | no | single-version |
-//! | CLR    | command  | single thread | no   | single-version  |
-//! | CLR-P  | command  | **PACMAN**    | no   | single-version  |
-//! | ALR-P  | mixed (command + logical) | **PACMAN** | no | single-version |
+//! | Scheme | Log type | Parallelism | Latches | Recovered state | Replay |
+//! |--------|----------|-------------|---------|-----------------|--------|
+//! | PLR    | physical | per-file, LWW | yes  | multi-version   | [`plr::replay`] |
+//! | LLR    | logical  | per-file      | yes  | multi-version   | [`llr::replay`] |
+//! | LLR-P  | logical  | key-partitioned (from PACMAN, §4.5) | no | single-version | [`llr_p::replay`] |
+//! | CLR    | command  | single thread | no   | single-version  | [`clr::replay`] |
+//! | CLR-P  | command  | **PACMAN**    | no   | single-version  | [`clr_p::replay`] |
+//! | ALR-P  | mixed (command + logical) | **PACMAN** | no | single-version | [`clr_p::replay`] |
 //!
-//! ALR-P consumes the adaptive scheme's mixed log: command records
-//! re-execute through the interpreter, logical records short-circuit into
-//! write-only pieces (see `docs/RECOVERY.md` for when each scheme wins).
+//! Every replay function takes a [`ReplayCtx`]; [`manager`] dispatches
+//! on the scheme, with no gate offline and with one online. ALR-P is
+//! CLR-P over a mixed log: the PACMAN schedule re-executes command
+//! records and installs logical records as write-only pieces (see
+//! `docs/RECOVERY.md` for when each scheme wins). [`checkpoint`] restores
+//! the base image, [`gate`] maps transactions to replay partitions, and
+//! [`raw`] is PLR's index-free tuple store.
 
-pub mod alr_p;
 pub mod checkpoint;
 pub mod clr;
 pub mod clr_p;
@@ -32,10 +35,76 @@ pub use manager::{
     RecoverySession, SessionState,
 };
 
+use crate::metrics::RecoveryMetrics;
 use pacman_common::codec::Cursor;
 use pacman_common::{Decoder, Result, Timestamp};
+use pacman_engine::{Database, RecoveryGate};
+use pacman_sproc::ProcRegistry;
 use pacman_storage::StorageSet;
-use pacman_wal::TxnLogRecord;
+use pacman_wal::{LogPayload, TxnLogRecord};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// The inputs every log-replay strategy shares. A gate makes the replay
+/// online: it publishes per-partition batch watermarks and serves waiting
+/// admissions first. Without one the same code runs offline.
+#[derive(Clone, Copy)]
+pub struct ReplayCtx<'a> {
+    /// The crashed devices.
+    pub storage: &'a StorageSet,
+    /// Log files to replay.
+    pub inventory: &'a LogInventory,
+    /// The database being recovered.
+    pub db: &'a Arc<Database>,
+    /// Procedures command records re-execute.
+    pub registry: &'a ProcRegistry,
+    /// Replay threads.
+    pub threads: usize,
+    /// Durability frontier: records of later epochs are skipped.
+    pub pepoch: u64,
+    /// Checkpoint watermark: records at or below it are skipped.
+    pub after_ts: Timestamp,
+    /// Time-breakdown sink (Fig. 20).
+    pub metrics: &'a Arc<RecoveryMetrics>,
+    /// Online-recovery gate (`None` = offline).
+    pub gate: Option<&'a Arc<RecoveryGate>>,
+}
+
+/// Timing and accounting result of a log-recovery stage.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LogRecovery {
+    /// Pure log file reloading (Fig. 14a).
+    pub reload: Duration,
+    /// Whole log-recovery stage (Fig. 14b).
+    pub total: Duration,
+    /// Largest replayed timestamp (clock resume point).
+    pub max_ts: Timestamp,
+    /// Records replayed.
+    pub txns: u64,
+    /// Command records re-executed through the interpreter.
+    pub replayed_commands: u64,
+    /// Tuple-level records applied as after-images.
+    pub applied_writes: u64,
+}
+
+impl LogRecovery {
+    /// Account one replayed record: `replayed_commands + applied_writes`
+    /// always equals `txns`.
+    pub(crate) fn count(&mut self, ts: Timestamp, command: bool) {
+        self.max_ts = self.max_ts.max(ts);
+        self.txns += 1;
+        if command {
+            self.replayed_commands += 1;
+        } else {
+            self.applied_writes += 1;
+        }
+    }
+
+    /// [`LogRecovery::count`] for a decoded record.
+    pub(crate) fn count_record(&mut self, rec: &TxnLogRecord) {
+        self.count(rec.ts, matches!(rec.payload, LogPayload::Command { .. }));
+    }
+}
 
 /// One log file found on a device.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -145,6 +214,31 @@ pub fn read_merged_batch_view(
         }
     }
     pacman_wal::merged_view_from_buffers(batch, buffers, pepoch, after_ts)
+}
+
+/// An offline [`ReplayCtx`] for unit tests: no checkpoint watermark, no
+/// gate.
+#[cfg(test)]
+pub(crate) fn test_ctx<'a>(
+    storage: &'a StorageSet,
+    inventory: &'a LogInventory,
+    db: &'a Arc<Database>,
+    registry: &'a ProcRegistry,
+    metrics: &'a Arc<RecoveryMetrics>,
+    threads: usize,
+    pepoch: u64,
+) -> ReplayCtx<'a> {
+    ReplayCtx {
+        storage,
+        inventory,
+        db,
+        registry,
+        threads,
+        pepoch,
+        after_ts: 0,
+        metrics,
+        gate: None,
+    }
 }
 
 #[cfg(test)]

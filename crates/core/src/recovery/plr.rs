@@ -7,31 +7,13 @@
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::raw::RawStore;
-use crate::recovery::{decode_records, LogInventory};
+use crate::recovery::{decode_records, LogInventory, LogRecovery, ReplayCtx};
 use bytes::Bytes;
-use pacman_common::{Error, Result, Timestamp};
-use pacman_engine::Database;
+use pacman_common::{Error, Result};
 use pacman_storage::StorageSet;
 use pacman_wal::LogPayload;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-/// Timing result of a log-recovery stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LogRecovery {
-    /// Pure log file reloading (Fig. 14a).
-    pub reload: Duration,
-    /// Whole log-recovery stage (Fig. 14b).
-    pub total: Duration,
-    /// Largest replayed timestamp (clock resume point).
-    pub max_ts: Timestamp,
-    /// Records replayed.
-    pub txns: u64,
-    /// Command records re-executed through the interpreter (ALR-P/CLR).
-    pub replayed_commands: u64,
-    /// Tuple-level records applied as after-images (ALR-P/LLR paths).
-    pub applied_writes: u64,
-}
+use std::time::Instant;
 
 /// Phase A shared by the tuple-level schemes: read every log file into
 /// memory in parallel (bandwidth-bound).
@@ -76,19 +58,19 @@ pub fn reload_files(
 }
 
 /// PLR log recovery into the raw store, followed by parallel index
-/// reconstruction into `db`.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    raw: &RawStore,
-    db: &Database,
-    threads: usize,
-    latch: bool,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &RecoveryMetrics,
-) -> Result<LogRecovery> {
+/// reconstruction into `ctx.db`. Latched and multi-versioned, PLR has no
+/// partition watermark, so it ignores `ctx.gate`.
+pub fn replay(ctx: &ReplayCtx, raw: &RawStore, latch: bool) -> Result<LogRecovery> {
+    let ReplayCtx {
+        storage,
+        inventory,
+        db,
+        threads,
+        pepoch,
+        after_ts,
+        metrics,
+        ..
+    } = *ctx;
     let t0 = Instant::now();
     let files = metrics.timed(RecoveryMetrics::add_load, || {
         reload_files(storage, inventory, threads)
@@ -157,11 +139,14 @@ pub fn recover_log(
         raw.build_indexes(db, threads);
     });
 
+    let txns = txns.load(Ordering::Relaxed);
     Ok(LogRecovery {
         reload,
         total: t0.elapsed(),
         max_ts: max_ts.load(Ordering::Relaxed),
-        txns: txns.load(Ordering::Relaxed),
+        txns,
+        // Every PLR record is a physical after-image (anything else errors).
+        applied_writes: txns,
         ..Default::default()
     })
 }
@@ -169,9 +154,12 @@ pub fn recover_log(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::test_ctx;
     use pacman_common::{Encoder, Row, TableId, Value};
-    use pacman_engine::{Catalog, WriteKind, WriteRecord};
+    use pacman_engine::{Catalog, Database, WriteKind, WriteRecord};
+    use pacman_sproc::ProcRegistry;
     use pacman_wal::TxnLogRecord;
+    use std::sync::Arc;
 
     fn phys(ts: u64, key: u64, val: i64) -> TxnLogRecord {
         TxnLogRecord {
@@ -203,12 +191,14 @@ mod tests {
 
         let mut c = Catalog::new();
         c.add_table("t", 1);
-        let db = Database::new(c);
+        let db = Arc::new(Database::new(c));
         let raw = RawStore::new(1);
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        let r = recover_log(&storage, &inv, &raw, &db, 2, true, 10, 0, &m).unwrap();
+        let m = Arc::new(RecoveryMetrics::new());
+        let reg = ProcRegistry::new();
+        let r = replay(&test_ctx(&storage, &inv, &db, &reg, &m, 2, 10), &raw, true).unwrap();
         assert_eq!(r.txns, 2);
+        assert_eq!(r.applied_writes + r.replayed_commands, r.txns);
         let chain = db.table(TableId::new(0)).unwrap().get(7).unwrap();
         let (ts, row) = chain.newest();
         assert_eq!(ts, pacman_common::clock::epoch_floor(1) | 2);
@@ -230,10 +220,11 @@ mod tests {
         storage.disk(0).append("log/00/0000000000", &rec.to_bytes());
         let mut c = Catalog::new();
         c.add_table("t", 1);
-        let db = Database::new(c);
+        let db = Arc::new(Database::new(c));
         let raw = RawStore::new(1);
         let inv = LogInventory::scan(&storage);
-        let m = RecoveryMetrics::new();
-        assert!(recover_log(&storage, &inv, &raw, &db, 1, true, 10, 0, &m).is_err());
+        let m = Arc::new(RecoveryMetrics::new());
+        let reg = ProcRegistry::new();
+        assert!(replay(&test_ctx(&storage, &inv, &db, &reg, &m, 1, 10), &raw, true).is_err());
     }
 }

@@ -9,15 +9,15 @@
 //! watermark to the [`RecoveryGate`]. A shard's stream is applied by one
 //! worker at a time (the queue lock is held across the install), which
 //! preserves per-key commitment order. The only difference between the
-//! consumers is where the frontier and the "no more batches" signal come
-//! from — recovery's loader counts a fixed batch list, the standby's
-//! receiver counts shipped seals — so both arrive as closures.
+//! consumers is who advances the frontier and raises the "no more
+//! batches" flag in [`ShardApply`]: recovery's loader counts a fixed
+//! batch list, the standby's receiver counts shipped seals.
 
 use crate::metrics::RecoveryMetrics;
 use pacman_common::{Error, Timestamp};
 use pacman_engine::{Database, RecoveryGate, WriteRecord};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// One shard's apply lane: the pending write queue plus the applied-batch
@@ -30,28 +30,54 @@ pub(crate) struct ShardLane {
     pub applied: AtomicU64,
 }
 
-/// Build `n` empty lanes.
-pub(crate) fn lanes(n: usize) -> Vec<ShardLane> {
-    (0..n).map(|_| ShardLane::default()).collect()
+/// The shard-apply protocol's shared state: the lanes, the producer's
+/// frontier and end flag, and the first error any party latched.
+pub(crate) struct ShardApply {
+    /// One lane per partition.
+    pub lanes: Vec<ShardLane>,
+    /// Highest batch fully enqueued (monotone; everything enqueued to a
+    /// lane happens before the frontier covering it is published).
+    pub loaded: AtomicU64,
+    /// No further batches will arrive.
+    pub done: AtomicBool,
+    /// First error latched by the producer or a worker.
+    pub err: Mutex<Option<Error>>,
 }
 
-/// One worker of the shard-apply pool. Runs until `done()` reports no
+impl ShardApply {
+    /// State over `n` empty lanes.
+    pub fn new(n: usize) -> ShardApply {
+        ShardApply {
+            lanes: (0..n).map(|_| ShardLane::default()).collect(),
+            loaded: AtomicU64::new(0),
+            done: AtomicBool::new(false),
+            err: Mutex::new(None),
+        }
+    }
+
+    /// Latch `e` unless an earlier error is already latched.
+    pub fn fail(&self, e: Error) {
+        self.err.lock().get_or_insert(e);
+    }
+}
+
+/// One worker of the shard-apply pool. Runs until `state.done` reports no
 /// further batches will arrive *and* every lane has caught up with the
-/// frontier, or until `err` is latched (by this worker or a peer).
-///
-/// `frontier()` must be monotone, and everything enqueued to a lane must
-/// happen before the frontier covering it is published.
-#[allow(clippy::too_many_arguments)] // the protocol's full shared state
+/// frontier, or until an error is latched (by this worker or a peer).
 pub(crate) fn run_shard_worker(
-    lanes: &[ShardLane],
+    state: &ShardApply,
     db: &Database,
     gate: &RecoveryGate,
     metrics: &RecoveryMetrics,
-    err: &Mutex<Option<Error>>,
-    frontier: impl Fn() -> u64,
-    done: impl Fn() -> bool,
     worker: usize,
 ) {
+    let ShardApply {
+        lanes,
+        loaded,
+        done,
+        err,
+    } = state;
+    let frontier = || loaded.load(Ordering::Acquire);
     let n = lanes.len();
     let mut rot = worker;
     loop {
@@ -59,7 +85,7 @@ pub(crate) fn run_shard_worker(
             return;
         }
         let frontier_now = frontier();
-        let done_now = done();
+        let done_now = done.load(Ordering::Acquire);
         let mut progressed = false;
         let prioritize = gate.any_wanted();
         let passes = if prioritize { 2 } else { 1 };
@@ -89,10 +115,7 @@ pub(crate) fn run_shard_worker(
                             t.install_lww(w.key, ts, w.after);
                         }
                         Err(e) => {
-                            let mut s = err.lock();
-                            if s.is_none() {
-                                *s = Some(e);
-                            }
+                            state.fail(e);
                             return;
                         }
                     }

@@ -6,7 +6,7 @@
 //!
 //! * **command/mixed schemes** (CLR / CLR-P / ALR-P) feed each
 //!   seal-delimited apply batch through [`crate::schedule::ExecutionSchedule`]
-//!   into the PACMAN runtime ([`crate::runtime::run_replay_gated`]),
+//!   into the PACMAN runtime ([`crate::runtime::run_replay`]),
 //!   whose per-block watermarks publish to the shared
 //!   [`pacman_engine::RecoveryGate`];
 //! * the **tuple scheme** (LLR-P) partitions each batch's after-images
@@ -28,9 +28,10 @@ use crate::metrics::RecoveryMetrics;
 use crate::recovery::checkpoint::{
     recover_checkpoint_chain, resync_checkpoint_chain, CheckpointTarget,
 };
-use crate::recovery::gate::{GateMap, GatedAdmission, ShardMap};
+use crate::recovery::gate::{scheme_admission, GatedAdmission, ShardMap};
+use crate::recovery::shard_apply::{run_shard_worker, ShardApply};
 use crate::recovery::RecoveryScheme;
-use crate::runtime::{run_replay_gated, ReplayMode};
+use crate::runtime::{run_replay, ReplayMode};
 use crate::schedule::ExecutionSchedule;
 use crate::static_analysis::GlobalGraph;
 use pacman_common::clock::epoch_floor;
@@ -185,17 +186,6 @@ impl Shared {
     }
 }
 
-/// Per-shard apply state of the tuple scheme (LLR-P): the shared
-/// recovery lanes plus the standby's frontier/done signals.
-struct ShardApply {
-    lanes: Vec<crate::recovery::shard_apply::ShardLane>,
-    /// Highest batch seq fully enqueued.
-    loaded: AtomicU64,
-    /// No further batches will arrive (promote drain finished).
-    done: AtomicBool,
-    err: Mutex<Option<Error>>,
-}
-
 /// How the receiver hands apply batches to the running engine.
 enum Feed {
     /// Command/mixed schemes: schedules into the PACMAN runtime.
@@ -282,27 +272,11 @@ pub fn start_standby(
 
     // Gate + footprint map, as in `recover_online` — but the total starts
     // at 0 ("caught up with nothing shipped yet") and moves with every
-    // seal, so admission tracks the shipped frontier. The tuple scheme's
-    // shard numbering is built once and shared by the gate size, the
-    // footprint map, and the apply lanes — one numbering, one truth.
+    // seal, so admission tracks the shipped frontier.
     let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
-    let mut session_shards = None;
-    let (gate, map) = match config.scheme {
-        RecoveryScheme::LlrP => {
-            let shards = ShardMap::new(&db);
-            let gate = RecoveryGate::new(shards.total());
-            let map = GateMap::shards(Arc::clone(&db), shards.clone(), registry);
-            session_shards = Some(shards);
-            (gate, map)
-        }
-        _ => {
-            let map = GateMap::blocks(&gdg, registry);
-            let gate = RecoveryGate::new(gdg.num_blocks());
-            (gate, map)
-        }
-    };
+    let admission = scheme_admission(config.scheme, &db, &gdg, registry, false);
+    let gate = Arc::clone(admission.gate());
     gate.set_total_batches(0);
-    let admission = GatedAdmission::new(Arc::clone(&gate), map);
 
     let shared = Arc::new(Shared {
         state: Mutex::new(StateInner {
@@ -342,13 +316,8 @@ pub fn start_standby(
     let mut shard_state = None;
     let feed = match config.scheme {
         RecoveryScheme::LlrP => {
-            let shards = session_shards.take().expect("LlrP built its shard map");
-            let state = Arc::new(ShardApply {
-                lanes: crate::recovery::shard_apply::lanes(shards.total()),
-                loaded: AtomicU64::new(0),
-                done: AtomicBool::new(false),
-                err: Mutex::new(None),
-            });
+            let shards = ShardMap::new(&db);
+            let state = Arc::new(ShardApply::new(shards.total()));
             for worker in 0..threads {
                 let state = Arc::clone(&state);
                 let db = Arc::clone(&db);
@@ -357,7 +326,7 @@ pub fn start_standby(
                 apply_joins.push(
                     std::thread::Builder::new()
                         .name(format!("standby-shard-{worker}"))
-                        .spawn(move || shard_worker(&state, &db, &gate, &metrics, worker))
+                        .spawn(move || run_shard_worker(&state, &db, &gate, &metrics, worker))
                         .map_err(|e| Error::Unknown(format!("spawn standby worker: {e}")))?,
                 );
             }
@@ -375,7 +344,6 @@ pub fn start_standby(
             let gate2 = Arc::clone(&gate);
             let metrics2 = Arc::clone(&metrics);
             let shared2 = Arc::clone(&shared);
-            let estimate = vec![1; gdg.num_blocks()];
             let threads = if matches!(scheme, RecoveryScheme::Clr) {
                 1
             } else {
@@ -385,16 +353,9 @@ pub fn start_standby(
                 std::thread::Builder::new()
                     .name("standby-replay".into())
                     .spawn(move || {
-                        if let Err(e) = run_replay_gated(
-                            &db2,
-                            &gdg2,
-                            mode,
-                            threads,
-                            &estimate,
-                            &metrics2,
-                            srx,
-                            Some(Arc::clone(&gate2)),
-                        ) {
+                        let gate = Some(Arc::clone(&gate2));
+                        if let Err(e) = run_replay(&db2, &gdg2, mode, threads, &metrics2, srx, gate)
+                        {
                             shared2.fail(&gate2, e);
                         }
                     })
@@ -816,29 +777,6 @@ impl ReceiverState {
             }
         }
     }
-}
-
-/// The tuple-scheme apply worker: the shared LLR-P shard-queue loop
-/// (`crate::recovery::shard_apply`), fed by shipped seals instead of a
-/// device scan — `loaded` is the highest seal fully enqueued and `done`
-/// flips at promote.
-fn shard_worker(
-    state: &ShardApply,
-    db: &Database,
-    gate: &RecoveryGate,
-    metrics: &RecoveryMetrics,
-    worker: usize,
-) {
-    crate::recovery::shard_apply::run_shard_worker(
-        &state.lanes,
-        db,
-        gate,
-        metrics,
-        &state.err,
-        || state.loaded.load(Ordering::Acquire),
-        || state.done.load(Ordering::Acquire),
-        worker,
-    );
 }
 
 impl Standby {

@@ -300,31 +300,19 @@ fn complete_set(shared: &Shared, gdg: &GlobalGraph, set: &ActiveSet) {
 
 /// Run the replay: consume schedules from `rx` (produced by the reload
 /// pipeline in batch order) and execute every piece-set with exactly
-/// `threads` workers. `piece_estimate` is the §4.4 distribution (reported
-/// through `assign_cores`; the pool shares idle capacity across blocks).
+/// `threads` workers (idle capacity is shared across blocks). The first
+/// schedule's piece counts are the §4.4 workload distribution estimate,
+/// reported through [`assign_cores`] and used to order on-demand priority.
+///
+/// With a `gate`, the replay is online: per-block batch watermarks are
+/// published as piece-sets complete, and piece-sets of blocks a waiting
+/// transaction needs (`gate.is_wanted`) are picked first — the runtime
+/// half of on-demand redo.
 pub fn run_replay(
     db: &Arc<Database>,
     gdg: &Arc<GlobalGraph>,
     mode: ReplayMode,
     threads: usize,
-    piece_estimate: &[usize],
-    metrics: &Arc<RecoveryMetrics>,
-    rx: crossbeam::channel::Receiver<ExecutionSchedule>,
-) -> Result<()> {
-    run_replay_gated(db, gdg, mode, threads, piece_estimate, metrics, rx, None)
-}
-
-/// [`run_replay`] with an online-recovery gate attached: per-block batch
-/// watermarks are published as piece-sets complete, and piece-sets of
-/// blocks a waiting transaction needs (`gate.is_wanted`) are picked first —
-/// the runtime half of on-demand redo.
-#[allow(clippy::too_many_arguments)]
-pub fn run_replay_gated(
-    db: &Arc<Database>,
-    gdg: &Arc<GlobalGraph>,
-    mode: ReplayMode,
-    threads: usize,
-    piece_estimate: &[usize],
     metrics: &Arc<RecoveryMetrics>,
     rx: crossbeam::channel::Receiver<ExecutionSchedule>,
     gate: Option<Arc<RecoveryGate>>,
@@ -334,8 +322,20 @@ pub fn run_replay_gated(
         while rx.recv().is_ok() {}
         return Ok(());
     }
+    let Ok(first) = rx.recv() else {
+        return Ok(());
+    };
+    let piece_estimate = {
+        let counts = first.piece_counts();
+        // An all-empty first batch still needs a sane assignment.
+        if counts.iter().sum::<usize>() == 0 {
+            vec![1; counts.len()]
+        } else {
+            counts
+        }
+    };
     // The reference static assignment (kept for §4.4 fidelity/reporting).
-    let _assignment = assign_cores(piece_estimate, threads);
+    let _assignment = assign_cores(&piece_estimate, threads);
     let mut sjf_order: Vec<usize> = (0..blocks).collect();
     sjf_order.sort_by_key(|&b| piece_estimate.get(b).copied().unwrap_or(0));
 
@@ -359,7 +359,7 @@ pub fn run_replay_gated(
             let shared = Arc::clone(&shared);
             let gdg = Arc::clone(gdg);
             scope.spawn(move |_| {
-                for schedule in rx.iter() {
+                for schedule in std::iter::once(first).chain(rx.iter()) {
                     let activated = (0..schedule.piece_sets.len())
                         .map(|_| AtomicBool::new(false))
                         .collect();

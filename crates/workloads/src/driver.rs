@@ -18,6 +18,7 @@
 use crate::Workload;
 use pacman_common::clock::epoch_of;
 use pacman_common::{Error, Histogram};
+use pacman_engine::epoch::WorkerEpoch;
 use pacman_engine::{run_procedure_with_epoch, AdmissionControl, Database};
 use pacman_sproc::ProcRegistry;
 use pacman_wal::{Durability, WorkerLogBuffer};
@@ -83,6 +84,64 @@ pub struct DriverResult {
     pub timeline: Vec<SecondSample>,
     /// Bytes handed to the loggers during the window.
     pub bytes_logged: u64,
+    /// Logged commits still unacknowledged when the workers exited (also
+    /// added to the `driver.unacked_at_exit` counter).
+    pub unacked_at_exit: u64,
+}
+
+/// Acknowledge, oldest first, every pending commit whose epoch the
+/// durable frontier `pepoch` covers (one frontier advance acknowledges a
+/// whole sealed batch), handing each one's payload to `on_ack`.
+fn ack_durable<T>(
+    durability: &Durability,
+    pepoch: &AtomicU64,
+    pending: &mut VecDeque<(u64, T)>,
+    mut on_ack: impl FnMut(T),
+) {
+    let frontier = pepoch.load(Ordering::Acquire);
+    let mut acked = 0u64;
+    while pending.front().is_some_and(|&(epoch, _)| epoch <= frontier) {
+        let (_, payload) = pending.pop_front().expect("front checked");
+        on_ack(payload);
+        acked += 1;
+    }
+    if acked > 0 {
+        durability.note_commit_group(acked);
+    }
+}
+
+/// A worker's exit: hand its still-staged records to the logger, retire
+/// its epoch registration, then wait (bounded, one wakeup per epoch seal)
+/// for its outstanding acknowledgements. Retiring first matters: a
+/// registered worker pins `min_ack` at its last epoch, which then never
+/// seals. Returns how many commits stayed unacknowledged, and adds them
+/// to the `driver.unacked_at_exit` counter.
+fn drain_acks<T>(
+    durability: &Durability,
+    wb: &mut WorkerLogBuffer,
+    worker: usize,
+    we: &WorkerEpoch,
+    pending: &mut VecDeque<(u64, T)>,
+    mut on_ack: impl FnMut(T),
+) -> u64 {
+    durability.flush_worker(wb, worker);
+    we.retire();
+    let pepoch = durability.pepoch_arc();
+    let deadline = Instant::now() + Duration::from_millis(500);
+    loop {
+        ack_durable(durability, &pepoch, pending, &mut on_ack);
+        if pending.is_empty() || Instant::now() >= deadline {
+            break;
+        }
+        durability
+            .durable_signal()
+            .wait_for(Duration::from_millis(2));
+    }
+    let left = pending.len() as u64;
+    pacman_obs::registry()
+        .counter("driver.unacked_at_exit")
+        .add(left);
+    left
 }
 
 /// Run `workload` for the configured duration.
@@ -99,6 +158,7 @@ pub fn run_workload(
     let ckpt_flags: Vec<AtomicBool> = (0..seconds).map(|_| AtomicBool::new(false)).collect();
     let committed = AtomicU64::new(0);
     let aborted = AtomicU64::new(0);
+    let unacked = AtomicU64::new(0);
     let hist = parking_lot::Mutex::new(Histogram::new());
     let bytes_before = durability.bytes_logged();
     let start = Instant::now();
@@ -120,6 +180,7 @@ pub fn run_workload(
             let buckets = &buckets;
             let committed = &committed;
             let aborted = &aborted;
+            let unacked = &unacked;
             let hist = &hist;
             let durability = Arc::clone(durability);
             let db = Arc::clone(db);
@@ -144,21 +205,9 @@ pub fn run_workload(
                     let e = we.peek();
                     durability.flush_before_ack(&mut wb, worker, e);
                     we.enter_at(e);
-                    // Acknowledge durable transactions (one frontier
-                    // advance acknowledges the whole sealed batch).
-                    let frontier = pepoch.load(Ordering::Acquire);
-                    let mut acked = 0u64;
-                    while let Some(&(epoch, t0)) = pending.front() {
-                        if epoch > frontier {
-                            break;
-                        }
-                        local_hist.record(t0.elapsed().as_micros() as u64);
-                        pending.pop_front();
-                        acked += 1;
-                    }
-                    if acked > 0 {
-                        durability.note_commit_group(acked);
-                    }
+                    ack_durable(&durability, &pepoch, &mut pending, |t0| {
+                        local_hist.record(t0.elapsed().as_micros() as u64)
+                    });
 
                     let (pid, params) = workload.next_txn(&mut rng);
                     let proc = registry.get(pid).expect("registered procedure");
@@ -213,30 +262,10 @@ pub fn run_workload(
                     }
                 }
 
-                // Hand any still-staged records to the logger, then drain
-                // outstanding acknowledgements (bounded wait on the
-                // group-commit signal, one wakeup per epoch seal).
-                durability.flush_worker(&mut wb, worker);
-                let deadline = Instant::now() + Duration::from_millis(500);
-                while !pending.is_empty() && Instant::now() < deadline {
-                    let frontier = pepoch.load(Ordering::Acquire);
-                    let mut acked = 0u64;
-                    while let Some(&(epoch, t0)) = pending.front() {
-                        if epoch > frontier {
-                            break;
-                        }
-                        local_hist.record(t0.elapsed().as_micros() as u64);
-                        pending.pop_front();
-                        acked += 1;
-                    }
-                    if acked > 0 {
-                        durability.note_commit_group(acked);
-                    }
-                    durability
-                        .durable_signal()
-                        .wait_for(Duration::from_millis(2));
-                }
-                we.retire();
+                let left = drain_acks(&durability, &mut wb, worker, &we, &mut pending, |t0| {
+                    local_hist.record(t0.elapsed().as_micros() as u64)
+                });
+                unacked.fetch_add(left, Ordering::Relaxed);
                 hist.lock().merge(&local_hist);
                 // Fold this worker's latency/retry distributions into the
                 // shared registry histograms (bench snapshots read these).
@@ -279,6 +308,7 @@ pub fn run_workload(
         latency_us: hist.into_inner(),
         timeline,
         bytes_logged: durability.bytes_logged() - bytes_before,
+        unacked_at_exit: unacked.load(Ordering::Relaxed),
     }
 }
 
@@ -419,26 +449,16 @@ pub fn run_ramp(
                 // commit only counts (buckets, first-commit) once its
                 // epoch reaches the pepoch frontier — the same
                 // submit→durable notion `run_workload` measures.
-                let mut unacked: VecDeque<u64> = VecDeque::new();
+                let mut unacked: VecDeque<(u64, ())> = VecDeque::new();
                 let mut wb = WorkerLogBuffer::new();
-                let ack = |unacked: &mut VecDeque<u64>| -> u64 {
-                    let frontier = pepoch.load(Ordering::Acquire);
-                    let mut acked = 0u64;
-                    while let Some(&epoch) = unacked.front() {
-                        if epoch > frontier {
-                            break;
-                        }
-                        unacked.pop_front();
-                        let now = start.elapsed();
-                        first_commit_ns.fetch_min(now.as_nanos() as u64, Ordering::Relaxed);
-                        let b = (now.as_secs_f64() / bucket_secs) as usize;
-                        if b < buckets.len() {
-                            buckets[b].fetch_add(1, Ordering::Relaxed);
-                        }
-                        committed.fetch_add(1, Ordering::Relaxed);
-                        acked += 1;
+                let count_commit = || {
+                    let now = start.elapsed();
+                    first_commit_ns.fetch_min(now.as_nanos() as u64, Ordering::Relaxed);
+                    let b = (now.as_secs_f64() / bucket_secs) as usize;
+                    if b < buckets.len() {
+                        buckets[b].fetch_add(1, Ordering::Relaxed);
                     }
-                    acked
+                    committed.fetch_add(1, Ordering::Relaxed);
                 };
                 'serve: while !stop.load(Ordering::Acquire) {
                     // Same seal-rule ordering as `run_workload`: staged
@@ -446,10 +466,7 @@ pub fn run_ramp(
                     let e = we.peek();
                     durability.flush_before_ack(&mut wb, worker, e);
                     we.enter_at(e);
-                    let acked = ack(&mut unacked);
-                    if acked > 0 {
-                        durability.note_commit_group(acked);
-                    }
+                    ack_durable(&durability, &pepoch, &mut unacked, |()| count_commit());
                     // Retry parked requests first (oldest first) — their
                     // footprints were flagged, replay is pulling them in.
                     let mut next = None;
@@ -488,19 +505,12 @@ pub fn run_ramp(
                             Ok(info) => {
                                 if info.writes.is_empty() {
                                     // Read-only: acknowledged immediately.
-                                    let now = start.elapsed();
-                                    first_commit_ns
-                                        .fetch_min(now.as_nanos() as u64, Ordering::Relaxed);
-                                    let b = (now.as_secs_f64() / bucket_secs) as usize;
-                                    if b < buckets.len() {
-                                        buckets[b].fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    committed.fetch_add(1, Ordering::Relaxed);
+                                    count_commit();
                                 } else {
                                     durability.log_commit_buffered(
                                         &mut wb, worker, &info, pid, &params, false,
                                     );
-                                    unacked.push_back(epoch_of(info.ts));
+                                    unacked.push_back((epoch_of(info.ts), ()));
                                 }
                                 pacman_engine::recycle_commit_info(info);
                                 break;
@@ -516,20 +526,9 @@ pub fn run_ramp(
                         }
                     }
                 }
-                // Flush staged records, then drain outstanding
-                // acknowledgments (bounded wait on the group signal).
-                durability.flush_worker(&mut wb, worker);
-                let deadline = Instant::now() + Duration::from_millis(500);
-                while !unacked.is_empty() && Instant::now() < deadline {
-                    let acked = ack(&mut unacked);
-                    if acked > 0 {
-                        durability.note_commit_group(acked);
-                    }
-                    durability
-                        .durable_signal()
-                        .wait_for(Duration::from_millis(2));
-                }
-                we.retire();
+                drain_acks(&durability, &mut wb, worker, &we, &mut unacked, |()| {
+                    count_commit()
+                });
             });
         }
         std::thread::sleep(config.duration);
@@ -614,6 +613,9 @@ mod tests {
         assert!(result.throughput > 100.0);
         assert!(result.bytes_logged > 0);
         assert!(result.latency_us.count() > 0);
+        // The last epoch seals once the workers retire: every logged
+        // commit is acknowledged before the driver returns.
+        assert_eq!(result.unacked_at_exit, 0);
         // Everything durable after shutdown: batches exist.
         assert!(!pacman_wal::list_batch_indices(dur.storage()).is_empty());
     }
